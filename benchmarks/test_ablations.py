@@ -7,15 +7,10 @@ from repro.channel.config import ChannelConfig
 from repro.channel.model import LinkChannel
 from repro.channel.perturbations import PerturbationConfig
 from repro.core.aoa_extension import AoAAugmentedDetector, AoASampler
-from repro.core.tof_trend import ToFTrendDetector
 from repro.experiments.common import classification_decisions
 from repro.mac.aggregation import FrameTransmitter
 from repro.mobility.modes import MobilityMode
-from repro.mobility.scenarios import (
-    circular_scenario,
-    macro_scenario,
-    static_scenario,
-)
+from repro.mobility.scenarios import circular_scenario, static_scenario
 from repro.mobility.trajectory import StaticTrajectory
 from repro.phy.tof import ToFConfig, ToFSampler
 from repro.rate.atheros import AtherosRateAdaptation
@@ -120,7 +115,7 @@ def test_ablation_aoa_extension_on_circle(run_once):
         )
 
         # Augmented detector on the same geometry.
-        detector = AoAAugmentedDetector(ToFTrendDetector())
+        detector = AoAAugmentedDetector()
         t = np.arange(0.0, 40.0, 0.02)
         angles = 1.2 / 8.0 * t
         tof = ToFSampler(ToFConfig(), seed=7).sample(np.full_like(t, 8.0))

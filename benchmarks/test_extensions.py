@@ -16,7 +16,8 @@ from repro.mobility.scenarios import macro_scenario
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.simulator import simulate_rate_control
 from repro.roaming.schemes import ControllerRoaming
-from repro.roaming.simulator import simulate_roaming
+from repro.roaming.simulator import RoamingSession
+from repro.sim import SimulationEngine, TimeGrid
 from repro.testing import synthetic_trace
 from repro.util.geometry import Point
 from repro.wlan.floorplan import default_office_floorplan
@@ -81,12 +82,15 @@ def test_extension_80211r_fast_transition(run_once):
         multi = channel.evaluate(trajectory, sample_interval_s=0.1, include_h=True)
         results = {}
         for label, outage_s in (("legacy (200 ms)", 0.200), ("802.11r (40 ms)", 0.040)):
-            run_result = simulate_roaming(
+            session = RoamingSession(
                 multi,
                 ControllerRoaming(),
                 forced_handoff_outage_s=outage_s,
                 seed=43,
             )
+            engine = SimulationEngine(TimeGrid(multi.times))
+            engine.add(session)
+            run_result = engine.run()[session.client]
             outage_fraction = float(np.mean(run_result.goodput_mbps == 0.0))
             results[label] = (
                 run_result.mean_throughput_mbps,

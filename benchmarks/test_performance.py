@@ -16,10 +16,9 @@ import pytest
 from repro.beamforming.precoding import mrt_weights, zero_forcing_weights
 from repro.channel.config import ChannelConfig
 from repro.channel.model import LinkChannel, MultiLinkChannel
-from repro.core.batched import BatchedMobilityClassifier
+from repro.core.batched import BatchedMobilityClassifier, BatchedToFTrendDetector
 from repro.core.classifier import MobilityClassifier
 from repro.core.similarity import csi_similarity, csi_similarity_series
-from repro.core.tof_trend import ToFTrendDetector
 from repro.mac.aggregation import FrameTransmitter
 from repro.mobility.trajectory import WaypointWalkTrajectory
 from repro.sim import BatchedSensingSession, Session, SimulationEngine, TimeGrid
@@ -80,10 +79,10 @@ def test_perf_tof_detector(benchmark):
     readings = rng.normal(700.0, 0.8, size=500)
 
     def run():
-        detector = ToFTrendDetector()
+        detector = BatchedToFTrendDetector(1)
         for reading in readings:
-            detector.push(float(reading))
-        return detector.trend
+            detector.push_one(0, float(reading))
+        return detector.trend_of(0)
 
     benchmark(run)
 

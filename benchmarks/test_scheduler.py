@@ -1,16 +1,16 @@
 """Section-9 extension — mobility-aware multi-client scheduling."""
 
-import numpy as np
 from conftest import print_report
 
 from repro.core.hints import MobilityEstimate
 from repro.mobility.modes import Heading, MobilityMode
+from repro.sim import SimulationEngine, TimeGrid
 from repro.testing import synthetic_trace
 from repro.wlan.scheduler import (
     MobilityAwareScheduler,
     ProportionalFairScheduler,
     RoundRobinScheduler,
-    simulate_scheduling,
+    SchedulingSession,
 )
 
 
@@ -52,10 +52,12 @@ def test_scheduler_comparison(run_once):
             (ProportionalFairScheduler(), None),
             (MobilityAwareScheduler(), hints),
         ):
-            outcome = simulate_scheduling(
+            session = SchedulingSession(
                 scheduler, traces, hints=use_hints, transmitter_seed=3
             )
-            results[scheduler.name] = outcome
+            engine = SimulationEngine(TimeGrid(traces[0].times))
+            engine.add(session)
+            results[scheduler.name] = engine.run()[session.client]
         return results
 
     results = run_once(run)

@@ -1,10 +1,11 @@
 """The paper's contribution: PHY-layer mobility classification and policy.
 
 * :mod:`repro.core.similarity` — CSI similarity metric (paper Eq. 1);
-* :mod:`repro.core.tof_trend` — ToF median filtering and trend detection;
+* :mod:`repro.core.tof_trend` — ToF pipeline config and the trend test;
 * :mod:`repro.core.classifier` — the Figure-5 state machine combining both;
-* :mod:`repro.core.batched` — the arrays-of-clients backend the scalar
-  classifier is an N=1 view of (see ``docs/architecture.md``);
+* :mod:`repro.core.batched` — the arrays-of-clients backend: the one ToF
+  trend detector and the classifier the scalar one is an N=1 view of
+  (see ``docs/architecture.md``);
 * :mod:`repro.core.policy` — the Table-2 per-mode protocol parameters;
 * :mod:`repro.core.hints` — the mobility-hint record shared with protocols;
 * :mod:`repro.core.aoa_extension` — the Section-9 future-work AoA augment.
@@ -24,7 +25,7 @@ from repro.core.similarity import (
     csi_similarity_stream,
     prepare_csi_gains,
 )
-from repro.core.tof_trend import ToFTrend, ToFTrendDetector
+from repro.core.tof_trend import ToFTrend
 
 __all__ = [
     "BatchedMedianFilter",
@@ -36,7 +37,6 @@ __all__ = [
     "MobilityPolicy",
     "PolicyTable",
     "ToFTrend",
-    "ToFTrendDetector",
     "batched_pair_similarity",
     "csi_similarity",
     "csi_similarity_stream",

@@ -28,7 +28,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.tof_trend import ToFTrendDetector, detect_trend, ToFTrend
+from repro.core.batched import BatchedToFTrendDetector
+from repro.core.tof_trend import ToFTrend, ToFTrendConfig, detect_trend
 from repro.mobility.modes import Heading
 from repro.util.filters import MovingWindow
 from repro.util.rng import SeedLike, ensure_rng
@@ -146,34 +147,34 @@ class AoATrendDetector:
 class AoAAugmentedDetector:
     """Combined device-mobility splitter: ToF trend OR AoA sweep -> macro.
 
-    Wraps a :class:`repro.core.tof_trend.ToFTrendDetector` and an
-    :class:`AoATrendDetector`; a client is macro-mobile if its distance
-    trends (radial walking, with heading) *or* its angle sweeps
-    (tangential walking, heading unknown).
+    Owns a one-row :class:`repro.core.batched.BatchedToFTrendDetector`
+    built from ``tof_config`` and an :class:`AoATrendDetector`; a client is
+    macro-mobile if its distance trends (radial walking, with heading)
+    *or* its angle sweeps (tangential walking, heading unknown).
     """
 
     def __init__(
         self,
-        tof_detector: ToFTrendDetector,
+        tof_config: ToFTrendConfig = ToFTrendConfig(),
         aoa_detector: Optional[AoATrendDetector] = None,
     ) -> None:
-        self.tof = tof_detector
+        self.tof = BatchedToFTrendDetector(1, tof_config)
         self.aoa = aoa_detector or AoATrendDetector()
 
     @property
     def is_macro(self) -> bool:
-        return self.tof.trend != ToFTrend.NONE or self.aoa.sweeping
+        return self.tof.trend_of(0) != ToFTrend.NONE or self.aoa.sweeping
 
     @property
     def heading(self) -> Heading:
-        return self.tof.heading  # AoA sweeps carry no towards/away heading
+        return self.tof.trend_of(0).heading  # AoA sweeps carry no towards/away heading
 
     def push_tof(self, reading_cycles: float) -> None:
-        self.tof.push(reading_cycles)
+        self.tof.push_one(0, reading_cycles)
 
     def push_aoa(self, angle_rad: float) -> None:
         self.aoa.push(angle_rad)
 
     def reset(self) -> None:
-        self.tof.reset()
+        self.tof.reset_rows(np.array([0]))
         self.aoa.reset()

@@ -7,12 +7,10 @@ module restructures the same state machine as arrays over a client axis:
 
 * :class:`BatchedMedianFilter` — the count-based ToF median filter as an
   ``(N, batch_size)`` buffer with per-client fill counts;
-* :class:`BatchedToFTrendDetector` — per-second medians, ``(N, window)``
-  trend ring buffers, per-client gap/invalidated counters (the PR-3
-  time-aware semantics are preserved: wall-clock aggregation is inherently
-  per-sample, so time-aware clients keep one
-  :class:`repro.util.filters.TimedMedianFilter` each, while the trend
-  windows and trend tests stay vectorised);
+* :class:`BatchedToFTrendDetector` — the one streaming ToF trend
+  pipeline: per-second medians, ``(N, window)`` trend ring buffers,
+  per-row gap/invalidated counters.  Rows are classifier clients, the
+  APs of a walk (neighbour headings) or the AoA extension's single row;
 * :class:`BatchedMobilityClassifier` — the full sense→classify decision
   path over a client cohort, emitting one
   :class:`repro.core.hints.MobilityEstimate` per deciding client.
@@ -27,9 +25,11 @@ evaluates with the same pairwise summation as the scalar 1-D reductions
 (reducing a transposed view would not).  Grouped operations (medians by
 fill count, smoothing means by window occupancy) partition clients but
 never mix values across them.  The scalar ``MobilityClassifier`` is a thin
-N=1 view over this module, so there is one implementation to trust, and
+N=1 view over this module, so there is one implementation to trust;
 ``tests/test_batched_classifier.py`` property-checks the cohort paths
-against N scalar replicas under degraded input.
+against N scalar sensing sessions under degraded input, and
+``tests/test_core_tof_trend.py`` checks :meth:`BatchedToFTrendDetector.push_block`
+against per-reading :meth:`BatchedToFTrendDetector.push_one`.
 
 Per-client telemetry (verdict events, gap counters) is emitted in client
 index order within each batched call.  Relative order *across* clients may
@@ -198,17 +198,20 @@ class BatchedMedianFilter:
 class BatchedToFTrendDetector:
     """N streaming ToF trend pipelines sharing array state.
 
-    The vector twin of :class:`repro.core.tof_trend.ToFTrendDetector`:
-    per-second medians feed ``(N, window)`` trend rings, and the monotone
-    trend test (net change + step tolerance) evaluates all freshly-closed
-    windows in one shot.  Trends are stored as ``int8`` (``+1`` increasing,
-    ``-1`` decreasing, ``0`` none); :meth:`trend_of` maps back to the
+    The paper's macro-mobility test (Sec. 2.5) for N independent rows:
+    raw readings close per-second medians, medians feed ``(N, window)``
+    trend rings, and the monotone trend test of
+    :func:`repro.core.tof_trend.detect_trend` (net change + step
+    tolerance) evaluates all freshly-closed windows in one shot.  The
+    trend stays none until a row's window fills (the paper's detection
+    delay).  Trends are stored as ``int8`` (``+1`` increasing, ``-1``
+    decreasing, ``0`` none); :meth:`trend_of` maps back to the
     :class:`repro.core.tof_trend.ToFTrend` enum.
 
-    Time-aware configs keep one :class:`TimedMedianFilter` per client
+    Time-aware configs keep one :class:`TimedMedianFilter` per row
     (wall-clock anchoring and gap collapsing are per-sample, branch-heavy
-    logic shared verbatim with the scalar path) while window state, trend
-    evaluation and the degradation counters stay arrays.
+    logic) while window state, trend evaluation and the degradation
+    counters stay arrays.
     """
 
     def __init__(self, n: int, config: ToFTrendConfig = ToFTrendConfig()) -> None:
@@ -258,7 +261,12 @@ class BatchedToFTrendDetector:
     # -------------------------------------------------------------- inputs
 
     def push_one(self, i: int, tof_cycles: float, time_s: Optional[float] = None) -> None:
-        """One raw reading for client ``i`` (mirrors the scalar ``push``)."""
+        """One raw reading for row ``i``.
+
+        With ``config.time_aware`` a timestamp is required: medians close
+        on wall clock, and a sampling gap (a period with too few readings)
+        clears the row's window until contiguous medians refill it.
+        """
         if self.config.time_aware:
             if time_s is None:
                 raise ValueError("time-aware trend detection needs time_s with every reading")
@@ -322,8 +330,9 @@ class BatchedToFTrendDetector:
     def reset_rows(self, rows: np.ndarray) -> None:
         """Forget stream state for ``rows`` (device-mobility episode ended).
 
-        Pending partial medians drop too; the degradation counters persist,
-        exactly like the scalar detector's ``reset``.
+        Pending partial medians drop too, so a stale half-batch from one
+        episode never leaks into the next; the degradation counters
+        persist.
         """
         self._median.reset_rows(rows)
         if self._timed is not None:

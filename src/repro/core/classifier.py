@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.batched import BatchedMobilityClassifier
 from repro.core.hints import MobilityEstimate
-from repro.core.tof_trend import ToFTrend, ToFTrendConfig
+from repro.core.tof_trend import ToFTrendConfig
 from repro.telemetry.recorder import NULL_RECORDER, Recorder
 
 
@@ -59,55 +59,6 @@ class ClassifierConfig:
             raise ValueError("max CSI gap must be positive (or None to disable)")
 
 
-class _ScalarDetectorView:
-    """Client 0 of a batched ToF detector, exposed with the scalar API.
-
-    :class:`MobilityClassifier` is an N=1 view over the batched backend,
-    so its ``_tof_detector`` is no longer a standalone
-    :class:`repro.core.tof_trend.ToFTrendDetector` — this adapter keeps
-    the scalar read surface (``medians``, ``trend``, ``window_full``,
-    degradation counters) stable for callers and tests.
-    """
-
-    def __init__(self, batch: "BatchedMobilityClassifier") -> None:
-        self._detector = batch.detector
-
-    @property
-    def config(self) -> ToFTrendConfig:
-        return self._detector.config
-
-    @property
-    def trend(self) -> ToFTrend:
-        return self._detector.trend_of(0)
-
-    @property
-    def window_full(self) -> bool:
-        return bool(self._detector.count[0] == self._detector.config.window_periods)
-
-    @property
-    def medians(self) -> List[float]:
-        return self._detector.medians_of(0)
-
-    @property
-    def n_gaps(self) -> int:
-        return int(self._detector.n_gaps[0])
-
-    @property
-    def n_medians_discarded(self) -> int:
-        return int(self._detector.n_medians_discarded[0])
-
-    @property
-    def n_windows_invalidated(self) -> int:
-        return int(self._detector.n_windows_invalidated[0])
-
-    @property
-    def last_closed(self) -> list:
-        return self._detector.last_closed[0]
-
-    def reset(self) -> None:
-        self._detector.reset_rows(np.array([0]))
-
-
 class MobilityClassifier:
     """Streaming implementation of the Fig. 5 classification design.
 
@@ -125,7 +76,6 @@ class MobilityClassifier:
     def __init__(self, config: ClassifierConfig = ClassifierConfig()) -> None:
         self.config = config
         self._batch = BatchedMobilityClassifier([None], config, record_history=True)
-        self._tof_detector = _ScalarDetectorView(self._batch)
 
     def _bind(self) -> "BatchedMobilityClassifier":
         """Propagate the (assignable) recorder/label attributes downward."""

@@ -18,6 +18,12 @@ tolerance test: a trend holds if no step contradicts the direction by more
 than ``step_tolerance_cycles`` **and** the net change across the window
 exceeds ``min_net_cycles`` (which also rejects micro mobility, whose
 confined motion cannot move the round trip by more than ~2 cycles).
+
+This module holds the pipeline's configuration, the trend enum and the
+window test :func:`detect_trend`.  The streaming pipeline itself (median
+filter into trend window) is
+:class:`repro.core.batched.BatchedToFTrendDetector`, one row per tracked
+client or AP.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.mobility.modes import Heading
-from repro.util.filters import MedianBatch, MedianFilter, MovingWindow, TimedMedianFilter
 
 
 class ToFTrend(enum.Enum):
@@ -119,114 +124,3 @@ def detect_trend(
         return ToFTrend.DECREASING
     return ToFTrend.NONE
 
-
-class ToFTrendDetector:
-    """Streaming ToF pipeline: raw samples in, trend decisions out.
-
-    Feed raw ToF readings (in clock cycles) with :meth:`push`.  Whenever a
-    median period completes, the detector re-evaluates the window and
-    :attr:`trend` / :attr:`heading` update.  The trend stays ``NONE`` until
-    the window has filled (the paper's detection delay of ``window`` seconds
-    after device mobility starts).
-    """
-
-    def __init__(self, config: ToFTrendConfig = ToFTrendConfig()) -> None:
-        self.config = config
-        self._median_filter = MedianFilter(config.samples_per_median)
-        self._timed_filter: Optional[TimedMedianFilter] = (
-            TimedMedianFilter(config.median_period_s, config.effective_min_median_samples)
-            if config.time_aware
-            else None
-        )
-        self._window = MovingWindow(config.window_periods)
-        self._trend = ToFTrend.NONE
-        #: Degradation counters (time-aware mode): collapsed gap markers
-        #: seen, sparse partial medians discarded, window invalidations.
-        self.n_gaps = 0
-        self.n_medians_discarded = 0
-        self.n_windows_invalidated = 0
-        #: Batches closed by the most recent time-aware :meth:`push` (for
-        #: telemetry; stays empty on the count-based path).
-        self.last_closed: List[MedianBatch] = []
-
-    @property
-    def trend(self) -> ToFTrend:
-        return self._trend
-
-    @property
-    def heading(self) -> Heading:
-        return self._trend.heading
-
-    @property
-    def window_full(self) -> bool:
-        return self._window.full
-
-    @property
-    def medians(self) -> List[float]:
-        return self._window.values()
-
-    def push(self, tof_cycles: float, time_s: Optional[float] = None) -> Optional[ToFTrend]:
-        """Add one raw ToF reading.
-
-        Returns the (re-)evaluated trend when a median period completes,
-        ``None`` otherwise.  With ``config.time_aware`` a timestamp is
-        required: medians close on wall clock, and a sampling gap (a period
-        with too few readings) invalidates the window — the trend drops to
-        ``NONE`` until a full window of contiguous medians rebuilds.
-        """
-        if self.config.time_aware:
-            if time_s is None:
-                raise ValueError("time-aware trend detection needs time_s with every reading")
-            return self._push_timed(float(time_s), tof_cycles)
-        median = self._median_filter.push(tof_cycles)
-        if median is None:
-            return None
-        self._ingest_median(median)
-        return self._trend
-
-    def _push_timed(self, time_s: float, tof_cycles: float) -> Optional[ToFTrend]:
-        assert self._timed_filter is not None
-        closed = self._timed_filter.push(time_s, tof_cycles)
-        self.last_closed = closed
-        if not closed:
-            return None
-        for batch in closed:
-            if batch.is_gap:
-                self.n_gaps += 1
-                if batch.n_samples > 0:
-                    self.n_medians_discarded += 1
-                self._invalidate_window()
-            else:
-                self._ingest_median(batch.median)
-        return self._trend
-
-    def _ingest_median(self, median: float) -> None:
-        self._window.push(median)
-        if self._window.full:
-            self._trend = detect_trend(
-                self._window.values(),
-                self.config.step_tolerance_cycles,
-                self.config.min_net_cycles,
-            )
-        else:
-            self._trend = ToFTrend.NONE
-
-    def _invalidate_window(self) -> None:
-        """A sampling gap breaks median contiguity: the window restarts."""
-        if len(self._window):
-            self.n_windows_invalidated += 1
-        self._window.clear()
-        self._trend = ToFTrend.NONE
-
-    def reset(self) -> None:
-        """Forget all state (called when device mobility ends, Fig. 5).
-
-        Pending partial medians are dropped too, so a stale half-batch from
-        one device-mobility episode never leaks into the next.
-        """
-        self._median_filter.reset()
-        if self._timed_filter is not None:
-            self._timed_filter.reset()
-        self._window.clear()
-        self._trend = ToFTrend.NONE
-        self.last_closed = []

@@ -32,8 +32,8 @@ from repro.roaming.schemes import (
     DefaultClientRoaming,
     SensorHintRoaming,
 )
-from repro.roaming.simulator import simulate_roaming
-from repro.util.geometry import Point
+from repro.roaming.simulator import RoamingSession
+from repro.sim import SimulationEngine, TimeGrid
 from repro.util.rng import SeedLike, ensure_rng, spawn_rngs
 from repro.util.stats import EmpiricalCDF, format_cdf_rows
 from repro.wlan.floorplan import default_office_floorplan
@@ -184,18 +184,24 @@ def run_panel_b(
         multi = channel.evaluate(trajectory, sample_interval_s=0.1, include_h=True)
         mobile = np.ones(len(multi.times), dtype=bool)
         run_seed = rng.integers(0, 2**31)
+        # The three schemes walk the same client trace side by side.
+        engine = SimulationEngine(TimeGrid(multi.times))
         for scheme_name, scheme in (
             ("default", DefaultClientRoaming()),
             ("sensor-hint", SensorHintRoaming()),
             ("controller", ControllerRoaming()),
         ):
-            result = simulate_roaming(
-                multi,
-                scheme,
-                device_mobile_truth=mobile,
-                mac_efficiency=MAC_EFFICIENCY,
-                seed=run_seed,
+            engine.add(
+                RoamingSession(
+                    multi,
+                    scheme,
+                    device_mobile_truth=mobile,
+                    mac_efficiency=MAC_EFFICIENCY,
+                    seed=run_seed,
+                    client=scheme_name,
+                )
             )
+        for scheme_name, result in engine.run().items():
             cdfs[scheme_name].add(result.mean_throughput_mbps)
     return cdfs
 

@@ -18,11 +18,12 @@ import numpy as np
 
 from repro.channel.config import ChannelConfig
 from repro.mobility.scenarios import macro_scenario
+from repro.sim import SimulationEngine, TimeGrid
 from repro.util.rng import SeedLike, ensure_rng
 from repro.util.stats import EmpiricalCDF, format_cdf_rows
 from repro.wlan.floorplan import default_office_floorplan
 from repro.wlan.multilink import MultiApChannel
-from repro.wlan.stack import default_stack, mobility_aware_stack, simulate_stack
+from repro.wlan.stack import StackSession, default_stack, mobility_aware_stack
 
 #: Walking-tour channel: enterprise power control plus NLoS-heavy fabric
 #: so that both roaming and beamforming adaptation matter.
@@ -90,8 +91,12 @@ def run(
         channel = MultiApChannel(floorplan, OVERALL_CHANNEL, seed=rng)
         multi = channel.evaluate(trajectory, sample_interval_s=0.1, include_h=True)
         run_seed = int(rng.integers(0, 2**31))
-        aware = simulate_stack(multi, mobility_aware_stack(), seed=run_seed)
-        default = simulate_stack(multi, default_stack(), seed=run_seed)
+        # Both arms walk the same client trace side by side.
+        engine = SimulationEngine(TimeGrid(multi.times))
+        engine.add(StackSession(multi, mobility_aware_stack(), seed=run_seed, client="aware"))
+        engine.add(StackSession(multi, default_stack(), seed=run_seed, client="default"))
+        results = engine.run()
+        aware, default = results["aware"], results["default"]
         cdfs["mobility-aware"].add(aware.mean_throughput_mbps)
         cdfs["default"].add(default.mean_throughput_mbps)
         per_test.append(

@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
+import numpy as np
+
+from repro.core.batched import BatchedToFTrendDetector
 from repro.core.hints import MobilityEstimate
+from repro.core.tof_trend import ToFTrendConfig
 from repro.mobility.modes import Heading
 
 
@@ -98,6 +102,50 @@ class NeighborObservation:
     rssi_dbm: float
     heading: Heading  # client heading relative to THIS AP (from its ToF)
     distance_m: Optional[float] = None
+
+
+class NeighborToF:
+    """Every AP's ToF trend on one client, measured by the infrastructure.
+
+    ``readings[ap]`` holds AP ``ap``'s raw ToF readings (clock cycles)
+    taken at ``times``; one :class:`BatchedToFTrendDetector` row per AP
+    turns them into the headings of :attr:`NeighborObservation.heading`.
+    """
+
+    def __init__(
+        self, times: np.ndarray, readings: Sequence[np.ndarray], config: ToFTrendConfig
+    ) -> None:
+        self.times = np.asarray(times, dtype=float)
+        #: ``(n_aps, len(times))`` raw readings.
+        self.readings = np.asarray(readings, dtype=float)
+        self.detector = BatchedToFTrendDetector(len(self.readings), config)
+        self._cursor = 0
+
+    def advance(self, until_s: float) -> range:
+        """Feed every AP its readings timed at or before ``until_s``.
+
+        Returns the indices of the readings fed by this call.
+        """
+        start = self._cursor
+        stop = max(start, int(np.searchsorted(self.times, until_s, side="right")))
+        if stop > start:
+            detector = self.detector
+            if detector.config.time_aware:
+                # Wall-clock medians need each reading's timestamp, which
+                # only the per-reading path accepts.
+                for ap in range(detector.n):
+                    for k in range(start, stop):
+                        detector.push_one(
+                            ap, float(self.readings[ap, k]), time_s=float(self.times[k])
+                        )
+            else:
+                detector.push_block(np.arange(detector.n), self.readings[:, start:stop])
+        self._cursor = stop
+        return range(start, stop)
+
+    def heading(self, ap: int) -> Heading:
+        """Client heading relative to AP ``ap`` from its ToF trend."""
+        return self.detector.trend_of(ap).heading
 
 
 class RoamingScheme(abc.ABC):

@@ -27,13 +27,13 @@ import numpy as np
 
 from repro.core.classifier import ClassifierConfig, MobilityClassifier
 from repro.core.hints import MobilityEstimate
-from repro.core.tof_trend import ToFTrendDetector
 from repro.phy.error import ErrorModel
 from repro.phy.ranging import ToFRangeEstimator
 from repro.phy.tof import ToFConfig, ToFSampler
 from repro.roaming.base import (
     HandoffEvent,
     NeighborObservation,
+    NeighborToF,
     RoamingContext,
     RoamingScheme,
 )
@@ -149,13 +149,14 @@ class _RoamingSimulation:
             for trace in multi.traces
         ]
         # ToF streams: trajectory-cadence distances + per-AP noise.
-        trajectory = multi.trajectory
-        self._tof_times = trajectory.times
-        self._tof_readings = []
-        for ap_index, tof_seed in enumerate(tof_seeds):
-            sampler = ToFSampler(tof_config, seed=tof_seed)
-            self._tof_readings.append(sampler.sample(multi.distances_to_ap(ap_index)))
-        self._neighbor_detectors = [ToFTrendDetector(classifier_config.tof) for _ in range(self.n_aps)]
+        self.neighbors = NeighborToF(
+            multi.trajectory.times,
+            [
+                ToFSampler(tof_config, seed=tof_seed).sample(multi.distances_to_ap(ap_index))
+                for ap_index, tof_seed in enumerate(tof_seeds)
+            ],
+            classifier_config.tof,
+        )
         self._neighbor_rangers = [ToFRangeEstimator(tof_config) for _ in range(self.n_aps)]
         self._neighbor_distances: List[Optional[float]] = [None] * self.n_aps
 
@@ -163,7 +164,6 @@ class _RoamingSimulation:
         self.current_ap = multi.strongest_ap(0)
         self.now_s = float(multi.times[0])
         self.step_index = 0
-        self._tof_cursor = 0
         self._outage_until = -1e9
         self._next_csi_s = self.now_s
         self.n_scans = 0
@@ -181,7 +181,7 @@ class _RoamingSimulation:
         return bool(self.device_mobile_truth[self.step_index])
 
     def neighbor_heading(self, ap: int):
-        return self._neighbor_detectors[ap].heading
+        return self.neighbors.heading(ap)
 
     def neighbor_distance(self, ap: int):
         return self._neighbor_distances[ap]
@@ -223,18 +223,17 @@ class _RoamingSimulation:
 
     def advance_sensing(self, until_s: float) -> None:
         """Feed ToF (all APs) and CSI (serving AP) streams up to ``until_s``."""
-        while self._tof_cursor < len(self._tof_times) and self._tof_times[self._tof_cursor] <= until_s:
-            i = self._tof_cursor
-            for ap in range(self.n_aps):
-                self._neighbor_detectors[ap].push(self._tof_readings[ap][i])
-                estimate = self._neighbor_rangers[ap].push(float(self._tof_readings[ap][i]))
+        neighbors = self.neighbors
+        due = neighbors.advance(until_s)
+        for ap in range(self.n_aps):
+            for reading in neighbors.readings[ap, due.start : due.stop]:
+                estimate = self._neighbor_rangers[ap].push(float(reading))
                 if estimate is not None:
                     self._neighbor_distances[ap] = estimate.distance_m
-            if self.classifier.wants_tof:
-                self.classifier.push_tof(
-                    float(self._tof_times[i]), float(self._tof_readings[self.current_ap][i])
-                )
-            self._tof_cursor += 1
+        if self.classifier.wants_tof:
+            serving = neighbors.readings[self.current_ap]
+            for i in due:
+                self.classifier.push_tof(float(neighbors.times[i]), float(serving[i]))
         while self._next_csi_s <= until_s:
             h = self._measured_h[self.current_ap]
             if h is not None:

@@ -36,7 +36,6 @@ from repro.beamforming.precoding import beamforming_gain, mrt_weights
 from repro.channel.perturbations import LinkPerturbations
 from repro.core.classifier import ClassifierConfig, MobilityClassifier
 from repro.core.policy import PolicyTable, default_policy_table
-from repro.core.tof_trend import ToFTrendDetector
 from repro.mac.aggregation import FrameTransmitter
 from repro.phy.csi_feedback import CSIFeedbackConfig, feedback_airtime_s
 from repro.phy.error import ErrorModel
@@ -45,7 +44,7 @@ from repro.phy.tof import ToFConfig, ToFSampler
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.base import RateAdapter
 from repro.rate.mobility_aware import MobilityAwareAtherosRA
-from repro.roaming.base import NeighborObservation, RoamingContext, RoamingScheme
+from repro.roaming.base import NeighborObservation, NeighborToF, RoamingContext, RoamingScheme
 from repro.roaming.schemes import ControllerRoaming, DefaultClientRoaming
 from repro.sim.engine import Session, SimulationEngine, StepClock, TimeGrid
 from repro.telemetry.recorder import NULL_RECORDER, Recorder
@@ -153,7 +152,7 @@ class _StackContext(RoamingContext):
         return {
             ap: NeighborObservation(
                 rssi_dbm=self._sim.measured_rssi(ap),
-                heading=self._sim.neighbor_detectors[ap].heading,
+                heading=self._sim.neighbors.heading(ap),
             )
             for ap in range(self._sim.n_aps)
         }
@@ -200,14 +199,14 @@ class _StackSimulation:
             trace.measured_csi(measurement_rng) if trace.h is not None else None
             for trace in multi.traces
         ]
-        self._tof_times = multi.trajectory.times
-        self._tof_readings = [
-            ToFSampler(tof_config, seed=s).sample(multi.distances_to_ap(i))
-            for i, s in enumerate(tof_seeds)
-        ]
-        self.neighbor_detectors = [
-            ToFTrendDetector(classifier_config.tof) for _ in range(self.n_aps)
-        ]
+        self.neighbors = NeighborToF(
+            multi.trajectory.times,
+            [
+                ToFSampler(tof_config, seed=s).sample(multi.distances_to_ap(i))
+                for i, s in enumerate(tof_seeds)
+            ],
+            classifier_config.tof,
+        )
         self.classifier = MobilityClassifier(classifier_config)
         self.feedback_config = CSIFeedbackConfig(
             n_subcarriers=multi.traces[0].h.shape[1] if multi.traces[0].h is not None else 52,
@@ -219,7 +218,6 @@ class _StackSimulation:
         self.current_ap = multi.strongest_ap(0)
         self.now_s = float(multi.times[0])
         self.step_index = 0
-        self._tof_cursor = 0
         self._outage_until = -1e9
         self._next_csi_s = self.now_s
         self._weights: Optional[np.ndarray] = None
@@ -259,18 +257,12 @@ class _StackSimulation:
     def advance_sensing(self, until_s: float) -> None:
         if not self.components.uses_classifier:
             return  # the mobility-oblivious arm never senses
-        while (
-            self._tof_cursor < len(self._tof_times)
-            and self._tof_times[self._tof_cursor] <= until_s
-        ):
-            i = self._tof_cursor
-            for ap in range(self.n_aps):
-                self.neighbor_detectors[ap].push(self._tof_readings[ap][i])
-            if self.classifier.wants_tof:
-                self.classifier.push_tof(
-                    float(self._tof_times[i]), float(self._tof_readings[self.current_ap][i])
-                )
-            self._tof_cursor += 1
+        neighbors = self.neighbors
+        due = neighbors.advance(until_s)
+        if self.classifier.wants_tof:
+            serving = neighbors.readings[self.current_ap]
+            for i in due:
+                self.classifier.push_tof(float(neighbors.times[i]), float(serving[i]))
         while self._next_csi_s <= until_s:
             h = self._measured_h[self.current_ap]
             if h is not None:

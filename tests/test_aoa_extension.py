@@ -12,7 +12,7 @@ from repro.core.aoa_extension import (
     AoATrendDetector,
     estimate_aoa,
 )
-from repro.core.tof_trend import ToFTrendDetector
+from repro.core.tof_trend import ToFTrend, ToFTrendConfig
 from repro.phy.tof import ToFConfig, ToFSampler
 
 
@@ -73,7 +73,7 @@ class TestAugmentedDetector:
     def test_circular_walk_now_detected_as_macro(self):
         """The Section-9 failure case, fixed by the extension."""
         config = AoAConfig()
-        detector = AoAAugmentedDetector(ToFTrendDetector())
+        detector = AoAAugmentedDetector(ToFTrendConfig())
         rng = np.random.default_rng(1)
         tof_sampler = ToFSampler(ToFConfig(), seed=2)
         aoa_sampler = AoASampler(config, seed=3)
@@ -90,7 +90,7 @@ class TestAugmentedDetector:
         del rng
 
     def test_micro_still_micro(self):
-        detector = AoAAugmentedDetector(ToFTrendDetector())
+        detector = AoAAugmentedDetector(ToFTrendConfig())
         tof_sampler = ToFSampler(ToFConfig(), seed=4)
         aoa_sampler = AoASampler(seed=5)
         rng = np.random.default_rng(6)
@@ -106,7 +106,7 @@ class TestAugmentedDetector:
     def test_radial_walk_keeps_heading(self):
         from repro.mobility.modes import Heading
 
-        detector = AoAAugmentedDetector(ToFTrendDetector())
+        detector = AoAAugmentedDetector(ToFTrendConfig())
         tof_sampler = ToFSampler(ToFConfig(), seed=7)
         t = np.arange(0.0, 10.0, 0.02)
         distances = 8.0 + 1.2 * t
@@ -115,3 +115,7 @@ class TestAugmentedDetector:
             detector.push_aoa(0.4)
         assert detector.is_macro
         assert detector.heading == Heading.AWAY
+        assert detector.tof.trend_of(0) == ToFTrend.INCREASING
+        detector.reset()
+        assert not detector.is_macro
+        assert detector.tof.medians_of(0) == []

@@ -164,7 +164,7 @@ class TestToFGatingAcrossResets:
             clf.push_tof(t + 0.02 * i, 200.0)
         # Exactly one full batch: were the 25 stale samples still pending,
         # the median would close early and mix 100s with 200s (150.0).
-        assert clf._tof_detector.medians == [200.0]
+        assert clf._batch.detector.medians_of(0) == [200.0]
 
     def test_explicit_reset_drops_pending_tof(self):
         clf = MobilityClassifier(ClassifierConfig(similarity_smoothing_window=1))
@@ -176,7 +176,7 @@ class TestToFGatingAcrossResets:
         t = self._enter_device_mobility(clf, rng, t0=t + 10.0)
         for i in range(50):
             clf.push_tof(t + 0.02 * i, 200.0)
-        assert clf._tof_detector.medians == [200.0]
+        assert clf._batch.detector.medians_of(0) == [200.0]
 
 
 class TestDegradedInput:
@@ -251,7 +251,7 @@ class TestDegradedInput:
             clf.push_tof(t + 0.02 * i, np.nan if i % 2 else 100.0)
         assert rec.metrics.counter("classifier.invalid_samples").value == 25
         # Only the 25 finite readings entered the (count-based) batch.
-        assert clf._tof_detector.medians == []
+        assert clf._batch.detector.medians_of(0) == []
 
     def test_tof_gap_surfaces_through_telemetry(self):
         cfg = ClassifierConfig(

@@ -12,7 +12,9 @@ from repro.experiments import (
     fig02_csi,
     fig04_tof,
     fig06_sensitivity,
+    fig07_roaming,
     fig08_rate_dynamics,
+    fig13_overall,
     table1_classification,
 )
 from repro.experiments.common import ConfusionMatrix
@@ -142,3 +144,19 @@ class TestFig8:
         for series in result.stationary_series.values():
             values = [m for _, m in series]
             assert max(values) - min(values) <= 13  # stays within the table
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")
+class TestHarnessesAvoidDeprecatedShims:
+    """The roaming and full-stack harnesses build engine sessions directly,
+    so they run clean when deprecation warnings are errors."""
+
+    def test_fig7(self):
+        result = fig07_roaming.run(n_locations=1, n_walks=1, duration_s=5.0, seed=3)
+        assert set(result.scheme_cdfs) == {"default", "sensor-hint", "controller"}
+        assert all(len(cdf) == 1 for cdf in result.scheme_cdfs.values())
+
+    def test_fig13(self):
+        result = fig13_overall.run(n_tests=1, duration_s=8.0, seed=5)
+        assert len(result.per_test) == 1
+        assert result.per_test[0]["aware"] > 0.0
