@@ -13,13 +13,13 @@ import numpy as np
 
 from repro import ChannelConfig, Point
 from repro.mobility.scenarios import macro_scenario
-from repro.roaming.schemes import (
+from repro.roaming import (
     ControllerRoaming,
     DefaultClientRoaming,
+    RoamingSession,
     SensorHintRoaming,
     StickToFirstAp,
 )
-from repro.roaming.simulator import RoamingSession
 from repro.sim import SimulationEngine, TimeGrid
 from repro.wlan.floorplan import default_office_floorplan
 from repro.wlan.multilink import MultiApChannel
@@ -40,21 +40,25 @@ def main() -> None:
     multi = channel.evaluate(trajectory, sample_interval_s=0.1, include_h=True)
     device_mobile = np.ones(len(multi.times), dtype=bool)  # accelerometer truth
 
-    print(f"\n{'scheme':<14}{'UDP Mbps':>10}{'TCP Mbps':>10}{'handoffs':>10}{'scans':>8}")
+    # Every scheme replays the identical walk as its own session on one
+    # engine, labelled by the scheme's name.
+    engine = SimulationEngine(TimeGrid(multi.times))
     for scheme in (
         StickToFirstAp(),
         DefaultClientRoaming(),
         SensorHintRoaming(),
         ControllerRoaming(),
     ):
-        # Engines are single-use: one fresh engine replays the identical
-        # walk per scheme.
-        session = RoamingSession(multi, scheme, device_mobile_truth=device_mobile, seed=3)
-        engine = SimulationEngine(TimeGrid(multi.times))
-        engine.add(session)
-        result = engine.run()[session.client]
+        engine.add(
+            RoamingSession(
+                multi, scheme, device_mobile_truth=device_mobile, seed=3, client=scheme.name
+            )
+        )
+
+    print(f"\n{'scheme':<14}{'UDP Mbps':>10}{'TCP Mbps':>10}{'handoffs':>10}{'scans':>8}")
+    for name, result in engine.run().items():
         print(
-            f"{scheme.name:<14}{result.mean_throughput_mbps:>10.1f}"
+            f"{name:<14}{result.mean_throughput_mbps:>10.1f}"
             f"{result.tcp_throughput_mbps():>10.1f}"
             f"{len(result.handoffs):>10}{result.n_scans:>8}"
         )

@@ -1,5 +1,9 @@
 """Client roaming: the default scheme, sensor-hint roaming, and the
-paper's controller-based mobility-aware roaming (Section 3)."""
+paper's controller-based mobility-aware roaming (Section 3).
+
+A roaming run is a :class:`RoamingSession` per scheme on a
+:class:`repro.sim.SimulationEngine` over ``TimeGrid(multi.times)``.
+"""
 
 from repro.roaming.base import HandoffEvent, RoamingContext, RoamingScheme
 from repro.roaming.schemes import (
@@ -9,7 +13,7 @@ from repro.roaming.schemes import (
     StickToFirstAp,
     StrongestApOracle,
 )
-from repro.roaming.simulator import RoamingRunResult, simulate_roaming
+from repro.roaming.simulator import RoamingRunResult, RoamingSession
 
 __all__ = [
     "ControllerRoaming",
@@ -18,8 +22,8 @@ __all__ = [
     "RoamingContext",
     "RoamingRunResult",
     "RoamingScheme",
+    "RoamingSession",
     "SensorHintRoaming",
     "StickToFirstAp",
     "StrongestApOracle",
-    "simulate_roaming",
 ]

@@ -19,7 +19,6 @@ engine's sense/classify/adapt/transmit phases.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -37,7 +36,7 @@ from repro.roaming.base import (
     RoamingContext,
     RoamingScheme,
 )
-from repro.sim.engine import Session, SimulationEngine, StepClock, TimeGrid
+from repro.sim.engine import Session, StepClock, TimeGrid
 from repro.telemetry.recorder import NULL_RECORDER, Recorder
 from repro.util.rng import SeedLike, ensure_rng, spawn_rngs
 from repro.wlan.multilink import MultiApTraces
@@ -257,11 +256,21 @@ class _RoamingSimulation:
 class RoamingSession(Session):
     """One client walking a floorplan while a roaming scheme serves it.
 
+    The public way to run ``scheme`` over the walk captured in ``multi``:
+    add the session to a :class:`repro.sim.SimulationEngine` over
+    ``TimeGrid(multi.times)``; ``run()[client]`` is the
+    :class:`RoamingRunResult`.  Schemes compared on one walk co-run on
+    one engine, each with its own scheme instance and ``client`` label.
+
+    ``device_mobile_truth`` (bool per channel sample) is the accelerometer
+    ground truth used by sensor-hint roaming.  Traces must carry CSI
+    (``include_h``) for the classifier-driven controller scheme; without
+    CSI the classifier simply never produces estimates.
+
     Phase mapping: ``sense`` feeds the ToF/CSI streams to the serving AP's
     classifier and the per-AP trend detectors; ``adapt`` runs the scheme's
     decision and performs scans/handoffs; ``transmit`` records the step's
-    goodput under the current outage state.  See :func:`simulate_roaming`
-    for parameter semantics.
+    goodput under the current outage state.
     """
 
     def __init__(
@@ -344,53 +353,3 @@ class RoamingSession(Session):
             n_scans=self._sim.n_scans,
         )
 
-
-def simulate_roaming(
-    multi: MultiApTraces,
-    scheme: RoamingScheme,
-    device_mobile_truth: Optional[np.ndarray] = None,
-    error_model: ErrorModel = ErrorModel(),
-    mac_efficiency: float = 0.65,
-    scan_outage_s: float = 0.150,
-    handoff_outage_s: float = 0.250,
-    forced_handoff_outage_s: float = 0.200,
-    classifier_config: ClassifierConfig = ClassifierConfig(),
-    tof_config: ToFConfig = ToFConfig(),
-    rssi_noise_db: float = 1.0,
-    seed: SeedLike = None,
-) -> RoamingRunResult:
-    """Run ``scheme`` over the walk captured in ``multi``.
-
-    ``device_mobile_truth`` (bool per channel sample) is the accelerometer
-    ground truth used by sensor-hint roaming.  Traces must carry CSI
-    (``include_h``) for the classifier-driven controller scheme; without
-    CSI the classifier simply never produces estimates.
-
-    .. deprecated:: 1.1
-        This is now a thin shim over :class:`repro.sim.SimulationEngine`
-        with a :class:`RoamingSession`; build those directly to co-run
-        roaming with other sessions on one grid.
-    """
-    warnings.warn(
-        "simulate_roaming is deprecated since 1.1; build a RoamingSession on a "
-        "SimulationEngine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    session = RoamingSession(
-        multi,
-        scheme,
-        device_mobile_truth=device_mobile_truth,
-        error_model=error_model,
-        mac_efficiency=mac_efficiency,
-        scan_outage_s=scan_outage_s,
-        handoff_outage_s=handoff_outage_s,
-        forced_handoff_outage_s=forced_handoff_outage_s,
-        classifier_config=classifier_config,
-        tof_config=tof_config,
-        rssi_noise_db=rssi_noise_db,
-        seed=seed,
-    )
-    engine = SimulationEngine(TimeGrid(multi.times))
-    engine.add(session)
-    return engine.run()[session.client]

@@ -5,7 +5,8 @@ Every protocol study in this repository has the same shape: an outer
 and, per step, feeds observables to a classifier, lets a control policy
 react, and transmits frames inside the step window.  Historically each of
 ``wlan/stack.py``, ``wlan/scheduler.py``, ``wlan/uplink.py`` and
-``roaming/simulator.py`` hand-rolled that loop; this module owns it once.
+``roaming/simulator.py`` hand-rolled that loop; this module owns it once,
+and a run is always sessions added to an engine.
 
 * :class:`TimeGrid` — the shared uniform grid plus alignment helpers
   (e.g. mapping ``csi_sampling_period_s`` onto a grid stride);
@@ -20,11 +21,13 @@ wraps failures in :class:`SessionError` naming the offending client, and
 through the batched :class:`repro.channel.model.MultiLinkChannel` path
 instead of N scalar per-link loops.
 
-Failure containment is pluggable: a :class:`repro.sim.SupervisorConfig`
-selects between the historical ``fail_fast`` abort (default,
-bit-identical), per-session quarantine (``isolate``) and bounded
-retry-with-backoff (``retry``) — see :mod:`repro.sim.supervisor` and
-``docs/architecture.md`` ("Supervision & failure domains").
+:class:`EngineStepper` walks the grid in one loop for every failure
+policy: each phase call that raises goes to the run's supervisor, whose
+:class:`repro.sim.SupervisorConfig` decides what the failure does — abort
+the run (``fail_fast``, the default), quarantine the session
+(``isolate``) or suspend it for a bounded retry-with-backoff (``retry``).
+See :mod:`repro.sim.supervisor` and ``docs/architecture.md``
+("Supervision & failure domains").
 """
 
 from __future__ import annotations
@@ -343,14 +346,6 @@ class SimulationEngine:
         self._sessions.append(session)
         return session
 
-    def _guarded(self, session: Session, phase: str, time_s: float, call: Callable) -> Any:
-        try:
-            return call()
-        except SessionError:
-            raise
-        except Exception as exc:
-            raise SessionError(session.client, phase, time_s, exc) from exc
-
     @staticmethod
     def _session_error(
         session: Session, phase: str, time_s: float, exc: BaseException
@@ -521,7 +516,6 @@ class EngineStepper:
         self.recorder = recorder
         self.live = live
         self.supervisor = supervisor
-        self.fail_fast = engine.supervisor_config.fail_fast
         self._next = 0
         self._finalized = False
         self._by_client: Dict[str, Session] = {}
@@ -565,124 +559,18 @@ class EngineStepper:
         self._next = index
 
     def step(self) -> None:
-        """Run one grid step (all four phases, every session)."""
+        """Run one grid step (all four phases, every session).
+
+        A session that raises is handed to the supervisor, which aborts
+        the run (``fail_fast``), suspends the session (``retry``) or
+        quarantines it; every other session's phase schedule is untouched.
+        """
         if self._finalized:
             raise RuntimeError("run already finalized")
         if self.done:
             raise RuntimeError("grid exhausted; finalize() the run")
         clock = self.engine.grid.clock(self._next)
         self._next += 1
-        if self.fail_fast:
-            try:
-                self._step_fail_fast(clock)
-            except SessionError as error:
-                self._abort(error)
-                raise
-        else:
-            self._step_supervised(clock)
-
-    def finalize(self) -> Dict[str, Any]:
-        """Collect every session's ``finish()``; ``{client: result}``."""
-        if self._finalized:
-            raise RuntimeError("run already finalized")
-        self._finalized = True
-        engine = self.engine
-        grid = engine.grid
-        results: Dict[str, Any] = {}
-        if self.fail_fast:
-            try:
-                for session in engine._sessions:
-                    value = engine._guarded(
-                        session, "finish", grid.end_s, lambda s=session: s.finish()
-                    )
-                    engine._collect_result(results, session, value)
-            except SessionError as error:
-                self._abort(error)
-                raise
-            if self.live:
-                self.recorder.event("run_end", grid.end_s, n_steps=len(grid))
-            return results
-        supervisor = self.supervisor
-        last_step = len(grid) - 1
-        for session in engine._sessions:
-            record = supervisor.quarantined.get(session.client)
-            if record is not None:
-                results[session.client] = record
-                continue
-            try:
-                engine._collect_result(results, session, session.finish())
-            except Exception as exc:
-                results[session.client] = supervisor.on_failure(
-                    session,
-                    engine._session_error(session, "finish", grid.end_s, exc),
-                    step=last_step,
-                )
-        if self.live:
-            self.recorder.event(
-                "run_end",
-                grid.end_s,
-                n_steps=len(grid),
-                n_quarantined=supervisor.n_quarantined,
-            )
-        return results
-
-    # ------------------------------------------------------------ internals
-
-    def _abort(self, error: SessionError) -> None:
-        """Terminal marker before a SessionError propagates (fail_fast):
-        a trace must never just stop."""
-        if self.live:
-            self.recorder.event(
-                "run_abort",
-                error.time_s,
-                client=error.client,
-                phase=error.phase,
-                step=self.engine.grid.index_at(error.time_s),
-            )
-
-    def _start_sessions(self) -> None:
-        engine = self.engine
-        grid = engine.grid
-        if self.fail_fast:
-            try:
-                for session in engine._sessions:
-                    engine._guarded(
-                        session, "start", grid.start_s, lambda s=session: s.start(grid)
-                    )
-            except SessionError as error:
-                self._abort(error)
-                raise
-        else:
-            for session in engine._sessions:
-                try:
-                    session.start(grid)
-                except Exception as exc:
-                    self.supervisor.on_failure(
-                        session,
-                        engine._session_error(session, "start", grid.start_s, exc),
-                        step=0,
-                    )
-
-    def _step_fail_fast(self, clock: StepClock) -> None:
-        """The historical strict loop body: first failure aborts everything."""
-        engine = self.engine
-        live = self.live
-        n_clients = sum(s.n_active_clients for s in engine._sessions) if live else 0
-        for phase in engine.phases:
-            t0 = perf_counter() if live else 0.0
-            for session in engine._sessions:
-                engine._guarded(
-                    session, phase, clock.start_s, lambda s=session, p=phase: getattr(s, p)(clock)
-                )
-            if live:
-                self.recorder.phase_time(
-                    phase, clock.index, clock.start_s, perf_counter() - t0, n_clients=n_clients
-                )
-        return
-
-    def _step_supervised(self, clock: StepClock) -> None:
-        """The contained loop body: failing sessions retry or quarantine,
-        the rest run with their phase schedule untouched."""
         engine = self.engine
         supervisor = self.supervisor
         live = self.live
@@ -712,4 +600,51 @@ class EngineStepper:
             if live:
                 self.recorder.phase_time(
                     phase, clock.index, clock.start_s, perf_counter() - t0, n_clients=n_clients
+                )
+
+    def finalize(self) -> Dict[str, Any]:
+        """Collect every session's ``finish()``; ``{client: result}``.
+
+        Quarantined clients map to their :class:`repro.sim.FailureRecord`.
+        """
+        if self._finalized:
+            raise RuntimeError("run already finalized")
+        self._finalized = True
+        engine = self.engine
+        grid = engine.grid
+        supervisor = self.supervisor
+        results: Dict[str, Any] = {}
+        for session in engine._sessions:
+            record = supervisor.quarantined.get(session.client)
+            if record is not None:
+                results[session.client] = record
+                continue
+            try:
+                engine._collect_result(results, session, session.finish())
+            except Exception as exc:
+                results[session.client] = supervisor.on_failure(
+                    session,
+                    engine._session_error(session, "finish", grid.end_s, exc),
+                    step=len(grid) - 1,
+                )
+        if self.live:
+            self.recorder.event(
+                "run_end",
+                grid.end_s,
+                n_steps=len(grid),
+                n_quarantined=supervisor.n_quarantined,
+            )
+        return results
+
+    def _start_sessions(self) -> None:
+        engine = self.engine
+        grid = engine.grid
+        for session in engine._sessions:
+            try:
+                session.start(grid)
+            except Exception as exc:
+                self.supervisor.on_failure(
+                    session,
+                    engine._session_error(session, "start", grid.start_s, exc),
+                    step=0,
                 )

@@ -6,10 +6,9 @@ classification pipeline misbehaves.  The engine mirrors that failure
 domain here — a :class:`Supervisor` (one per run, built from a
 :class:`SupervisorConfig`) decides what happens when a session raises:
 
-* ``fail_fast`` — today's behaviour and the default: the wrapped
-  :class:`repro.sim.SessionError` propagates and the run dies (the engine
-  additionally emits a terminal ``run_abort`` trace event so JSONL traces
-  are never silently truncated);
+* ``fail_fast`` — the default: the wrapped :class:`repro.sim.SessionError`
+  propagates and the run dies, after a terminal ``run_abort`` trace event
+  so JSONL traces are never silently truncated;
 * ``isolate`` — the failing session is quarantined at the failing step:
   its remaining phase calls (and ``finish``) are skipped, its downstream
   consumers receive a safe mobility-oblivious default hint instead of
@@ -125,12 +124,13 @@ class Supervisor:
     """Run-scoped failure bookkeeping; the engine builds one per ``run()``.
 
     The engine consults :meth:`active` before every phase call and routes
-    every :class:`repro.sim.SessionError` through :meth:`on_failure`; the
-    supervisor owns the quarantine set, the retry budgets, and the
-    simulation-time suspension deadlines, and emits the supervision
-    counters (``supervisor.failures`` / ``supervisor.retries`` /
-    ``supervisor.quarantined``) and trace events (``session_failed``,
-    ``session_quarantined``, ``session_resumed``).
+    every :class:`repro.sim.SessionError` through :meth:`on_failure`,
+    under every policy; the supervisor owns the abort (``run_abort``), the
+    quarantine set, the retry budgets, and the simulation-time suspension
+    deadlines, and emits the supervision counters (``supervisor.failures``
+    / ``supervisor.retries`` / ``supervisor.quarantined``) and trace
+    events (``session_failed``, ``session_quarantined``,
+    ``session_resumed``).
     """
 
     def __init__(self, config: SupervisorConfig, recorder: Recorder = NULL_RECORDER) -> None:
@@ -230,11 +230,19 @@ class Supervisor:
     def on_failure(
         self, session: "Session", error: "SessionError", step: int
     ) -> Optional[FailureRecord]:
-        """Record one failure and either suspend (retry) or quarantine.
+        """Apply the policy to one failure: abort, suspend or quarantine.
 
-        Returns the :class:`FailureRecord` when the failure escalated to
-        quarantine, ``None`` when the session was merely suspended.
+        Under ``fail_fast`` this emits the terminal ``run_abort`` trace
+        event and re-raises ``error``, recording nothing else.  Otherwise
+        returns the :class:`FailureRecord` when the failure escalated to
+        quarantine, ``None`` when the session was merely suspended (retry).
         """
+        if self.config.fail_fast:
+            if self.recorder.enabled:
+                self.recorder.event(
+                    "run_abort", error.time_s, client=error.client, phase=error.phase, step=step
+                )
+            raise error
         client = error.client
         count = self.failure_counts.get(client, 0) + 1
         self.failure_counts[client] = count

@@ -1,24 +1,23 @@
 """WLAN-level substrate: floorplans, multi-AP channels, traffic models,
 and the integrated mobility-aware stack (Section 7).
 
-All protocol runs in this package go through
-:class:`repro.sim.SimulationEngine`; ``simulate_stack`` and
-``simulate_scheduling`` remain as thin shims over :class:`StackSession`
-and :class:`SchedulingSession` for backwards compatibility.
+A protocol run is sessions on a :class:`repro.sim.SimulationEngine`:
+add a :class:`StackSession` per stack arm (or a :class:`SchedulingSession`
+per AP) to an engine over ``TimeGrid(multi.times)`` and call ``run()``;
+arms co-run on one engine under distinct ``client=`` labels.
 """
 
 from repro.channel.model import MultiLinkChannel
 from repro.sim import Session, SimulationEngine
 from repro.wlan.floorplan import Floorplan, default_office_floorplan, grid_floorplan
 from repro.wlan.multilink import MultiApChannel, MultiApTraces
-from repro.wlan.scheduler import SchedulingSession, simulate_scheduling
+from repro.wlan.scheduler import SchedulingSession
 from repro.wlan.stack import (
     StackComponents,
     StackRunResult,
     StackSession,
     default_stack,
     mobility_aware_stack,
-    simulate_stack,
 )
 from repro.wlan.traffic import TcpModel, udp_throughput_mbps
 
@@ -38,7 +37,5 @@ __all__ = [
     "default_stack",
     "grid_floorplan",
     "mobility_aware_stack",
-    "simulate_scheduling",
-    "simulate_stack",
     "udp_throughput_mbps",
 ]

@@ -24,8 +24,7 @@ each engine step window, carrying its frame clock across steps.
 from __future__ import annotations
 
 import abc
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.mac.aggregation import FrameTransmitter
 from repro.phy.error import ErrorModel
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.base import RateAdapter
-from repro.sim.engine import Session, SimulationEngine, StepClock, TimeGrid
+from repro.sim.engine import Session, StepClock
 from repro.util.filters import ExponentialMovingAverage
 from repro.util.rng import SeedLike, ensure_rng
 
@@ -176,6 +175,13 @@ class SchedulingSession(Session):
     its ``transmit`` phase at frame granularity.  The frame clock carries
     across engine steps, so A-MPDUs freely straddle step boundaries exactly
     as in the historical free-running loop.
+
+    ``hints`` and ``adapters`` hold one entry per trace: client ``i``'s
+    time-ordered hint list and its rate controller (a stock Atheros
+    controller each by default).  Per transmit opportunity the scheduler
+    picks a client from every client's expected goodput at its current
+    SNR.  Run it on a :class:`repro.sim.SimulationEngine` over
+    ``TimeGrid(traces[0].times)``.
     """
 
     def __init__(
@@ -195,6 +201,9 @@ class SchedulingSession(Session):
         for trace in traces:
             if len(trace) != n:
                 raise ValueError("client traces must share the time grid")
+        for name, per_client in (("hints", hints), ("adapters", adapters)):
+            if per_client is not None and len(per_client) != n_clients:
+                raise ValueError(f"{len(per_client)} {name} for {n_clients} clients")
         self.client = client
         self.scheduler = scheduler
         self.traces = traces
@@ -300,41 +309,3 @@ class SchedulingSession(Session):
                 self.recorder.gauge("scheduler.client_mbps", float(mbps), client=str(i))
         return ScheduleRunResult(per_client_mbps=per_client, slots_served=self._slots)
 
-
-def simulate_scheduling(
-    scheduler: Scheduler,
-    traces: Sequence[ChannelTrace],
-    hints: Optional[Sequence[Sequence[MobilityEstimate]]] = None,
-    adapters: Optional[Sequence[RateAdapter]] = None,
-    aggregation_time_s: float = 0.004,
-    transmitter_seed: SeedLike = 0,
-) -> ScheduleRunResult:
-    """Serve ``len(traces)`` clients from one AP with the given scheduler.
-
-    Each client keeps its own (stock Atheros) rate controller; the
-    scheduler sees each client's current expected rate (its controller's
-    chosen MCS discounted by that rate's PER estimate — information the AP
-    genuinely has) and picks one per transmit opportunity.
-
-    .. deprecated:: 1.1
-        This is now a thin shim over :class:`repro.sim.SimulationEngine`
-        with a :class:`SchedulingSession`; build those directly to co-run
-        the scheduler with other sessions on one grid.
-    """
-    warnings.warn(
-        "simulate_scheduling is deprecated since 1.1; build a SchedulingSession "
-        "on a SimulationEngine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    session = SchedulingSession(
-        scheduler,
-        traces,
-        hints=hints,
-        adapters=adapters,
-        aggregation_time_s=aggregation_time_s,
-        transmitter_seed=transmitter_seed,
-    )
-    engine = SimulationEngine(TimeGrid(traces[0].times))
-    engine.add(session)
-    return engine.run()[session.client]

@@ -16,7 +16,6 @@ scheduler fires).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -46,7 +45,7 @@ from repro.rate.base import RateAdapter
 from repro.rate.mobility_aware import MobilityAwareAtherosRA
 from repro.roaming.base import NeighborObservation, NeighborToF, RoamingContext, RoamingScheme
 from repro.roaming.schemes import ControllerRoaming, DefaultClientRoaming
-from repro.sim.engine import Session, SimulationEngine, StepClock, TimeGrid
+from repro.sim.engine import Session, StepClock
 from repro.telemetry.recorder import NULL_RECORDER, Recorder
 from repro.util.rng import SeedLike, ensure_rng, spawn_rngs
 from repro.wlan.multilink import MultiApTraces
@@ -415,31 +414,3 @@ class StackSession(Session):
             estimates=self._estimates,
         )
 
-
-def simulate_stack(
-    multi: MultiApTraces,
-    components: StackComponents,
-    error_model: ErrorModel = ErrorModel(),
-    classifier_config: ClassifierConfig = ClassifierConfig(),
-    tof_config: ToFConfig = ToFConfig(),
-    seed: SeedLike = None,
-) -> StackRunResult:
-    """Run one arm (aware or default) over a multi-AP walk.
-
-    .. deprecated:: 1.1
-        This is now a thin shim over :class:`repro.sim.SimulationEngine`
-        with a :class:`StackSession`; build those directly for multi-client
-        runs or custom phase mixes.
-    """
-    warnings.warn(
-        "simulate_stack is deprecated since 1.1; build a StackSession on a "
-        "SimulationEngine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    session = StackSession(
-        multi, components, error_model, classifier_config, tof_config, seed
-    )
-    engine = SimulationEngine(TimeGrid(multi.times))
-    engine.add(session)
-    return engine.run()[session.client]

@@ -1,13 +1,17 @@
 """Golden-value determinism tests for the engine-backed simulators.
 
 Every value below was recorded by running the *pre-refactor* hand-rolled
-loops (``simulate_stack``, ``simulate_roaming``, ``simulate_scheduling``,
-``simulate_uplink``, ``sense_and_classify``) at the stated seeds, before
-the outer loops moved into :class:`repro.sim.SimulationEngine`.  The
-refactor is required to be bit-identical: sessions replay the same RNG
-draws in the same order, and the engine's step windows tile the grid
-exactly as the free-running frame loops did.  Any drift here means the
-engine changed the simulation, not just its plumbing.
+loops (the integrated stack, roaming, scheduling, ``simulate_uplink`` and
+``sense_and_classify``) at the stated seeds, before the outer loops moved
+into :class:`repro.sim.SimulationEngine`.  The refactor is required to be
+bit-identical: sessions replay the same RNG draws in the same order, and
+the engine's step windows tile the grid exactly as the free-running frame
+loops did.  Any drift here means the engine changed the simulation, not
+just its plumbing.
+
+The stack and roaming arms are co-run as sessions on one engine, the way
+the Fig. 7/Fig. 13 harnesses run them: each arm owns its RNG streams and
+components, so sharing the engine must not move a single bit.
 
 Seeds: stack walk/channel 1234, stack protocols 99; roaming walk/channel
 77, roaming protocols 42; scheduler transmitter 3; sensing 5 and 11.
@@ -23,7 +27,8 @@ from repro.mobility.modes import Heading, MobilityMode
 from repro.mobility.scenarios import macro_scenario, static_scenario
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.roaming.schemes import ControllerRoaming, DefaultClientRoaming
-from repro.roaming.simulator import simulate_roaming
+from repro.roaming.simulator import RoamingSession
+from repro.sim import SimulationEngine, TimeGrid
 from repro.testing import synthetic_trace
 from repro.util.geometry import Point
 from repro.wlan.floorplan import default_office_floorplan
@@ -32,15 +37,10 @@ from repro.wlan.scheduler import (
     MobilityAwareScheduler,
     ProportionalFairScheduler,
     RoundRobinScheduler,
-    simulate_scheduling,
+    SchedulingSession,
 )
-from repro.wlan.stack import default_stack, mobility_aware_stack, simulate_stack
+from repro.wlan.stack import StackSession, default_stack, mobility_aware_stack
 from repro.wlan.uplink import simulate_uplink
-
-# These tests go through the deprecated 1.1 shim entry points on purpose
-# (pinning their behaviour); their DeprecationWarnings are expected here
-# while CI escalates unexpected ones to errors.
-pytestmark = pytest.mark.filterwarnings("ignore:simulate_:DeprecationWarning")
 
 AREA = (2.0, 2.0, 38.0, 23.0)
 
@@ -60,15 +60,22 @@ class TestStackGolden:
             trajectory, sample_interval_s=0.1, include_h=True
         )
 
-    def test_mobility_aware_stack_matches_prerefactor(self, multi):
-        aware = simulate_stack(multi, mobility_aware_stack(), seed=99)
+    @pytest.fixture(scope="class")
+    def results(self, multi):
+        engine = SimulationEngine(TimeGrid(multi.times))
+        engine.add(StackSession(multi, mobility_aware_stack(), seed=99, client="aware"))
+        engine.add(StackSession(multi, default_stack(), seed=99, client="default"))
+        return engine.run()
+
+    def test_mobility_aware_stack_matches_prerefactor(self, results):
+        aware = results["aware"]
         assert aware.mean_throughput_mbps == 113.269
         assert (aware.n_handoffs, aware.n_scans, aware.n_feedbacks) == (1, 0, 166)
         assert int(aware.ap_timeline.sum()) == 51
         assert [float(x) for x in aware.goodput_mbps[:3]] == [94.2, 85.56, 105.96]
 
-    def test_default_stack_matches_prerefactor(self, multi):
-        default = simulate_stack(multi, default_stack(), seed=99)
+    def test_default_stack_matches_prerefactor(self, results):
+        default = results["default"]
         assert default.mean_throughput_mbps == 100.23199999999999
         assert (default.n_handoffs, default.n_scans, default.n_feedbacks) == (1, 1, 59)
         assert int(default.ap_timeline.sum()) == 8
@@ -87,6 +94,23 @@ class TestRoamingGolden:
             trajectory, sample_interval_s=0.1, include_h=True
         )
 
+    @pytest.fixture(scope="class")
+    def results(self, multi):
+        mobile = np.ones(len(multi.times), dtype=bool)
+        engine = SimulationEngine(TimeGrid(multi.times))
+        for scheme_cls in (DefaultClientRoaming, ControllerRoaming):
+            engine.add(
+                RoamingSession(
+                    multi,
+                    scheme_cls(),
+                    device_mobile_truth=mobile,
+                    mac_efficiency=0.65,
+                    seed=42,
+                    client=scheme_cls.__name__,
+                )
+            )
+        return engine.run()
+
     @pytest.mark.parametrize(
         "scheme_cls, mean_mbps, n_handoffs, n_scans",
         [
@@ -94,11 +118,10 @@ class TestRoamingGolden:
             (ControllerRoaming, 171.76983748747293, 1, 0),
         ],
     )
-    def test_roaming_matches_prerefactor(self, multi, scheme_cls, mean_mbps, n_handoffs, n_scans):
-        mobile = np.ones(len(multi.times), dtype=bool)
-        result = simulate_roaming(
-            multi, scheme_cls(), device_mobile_truth=mobile, mac_efficiency=0.65, seed=42
-        )
+    def test_roaming_matches_prerefactor(
+        self, results, scheme_cls, mean_mbps, n_handoffs, n_scans
+    ):
+        result = results[scheme_cls.__name__]
         assert result.mean_throughput_mbps == mean_mbps
         assert (len(result.handoffs), result.n_scans) == (n_handoffs, n_scans)
 
@@ -148,9 +171,13 @@ class TestSchedulerGolden:
     def test_scheduler_matches_prerefactor(
         self, traces, hints, scheduler_cls, use_hints, per_client, slots
     ):
-        result = simulate_scheduling(
-            scheduler_cls(), traces, hints=hints if use_hints else None, transmitter_seed=3
+        engine = SimulationEngine(TimeGrid(traces[0].times))
+        session = engine.add(
+            SchedulingSession(
+                scheduler_cls(), traces, hints=hints if use_hints else None, transmitter_seed=3
+            )
         )
+        result = engine.run()[session.client]
         assert result.per_client_mbps == per_client
         assert result.slots_served == slots
 

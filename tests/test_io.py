@@ -18,11 +18,6 @@ from repro.mobility.trajectory import StaticTrajectory
 from repro.testing import synthetic_trace
 from repro.util.geometry import Point
 
-# These tests go through the deprecated 1.1 shim entry points on purpose
-# (pinning their behaviour); their DeprecationWarnings are expected here
-# while CI escalates unexpected ones to errors.
-pytestmark = pytest.mark.filterwarnings("ignore:simulate_:DeprecationWarning")
-
 
 class TestTracePersistence:
     def test_roundtrip_without_csi(self, tmp_path):
@@ -326,7 +321,8 @@ class TestMultiApPersistence:
         from repro.io.traces import load_multi, save_multi
         from repro.mobility.trajectory import WaypointWalkTrajectory
         from repro.roaming.schemes import DefaultClientRoaming
-        from repro.roaming.simulator import simulate_roaming
+        from repro.roaming.simulator import RoamingSession
+        from repro.sim import SimulationEngine, TimeGrid
         from repro.wlan.floorplan import default_office_floorplan
         from repro.wlan.multilink import MultiApChannel
         from repro.util.geometry import Point
@@ -340,7 +336,9 @@ class TestMultiApPersistence:
         path = tmp_path / "walk.npz"
         save_multi(multi, path)
         loaded = load_multi(path)
-        result = simulate_roaming(loaded, DefaultClientRoaming(), seed=32)
+        engine = SimulationEngine(TimeGrid(loaded.times))
+        session = engine.add(RoamingSession(loaded, DefaultClientRoaming(), seed=32))
+        result = engine.run()[session.client]
         assert result.mean_throughput_mbps > 0.0
 
     def test_type_validated(self, tmp_path):

@@ -1,7 +1,6 @@
 """Unit tests for roaming schemes and the roaming simulator."""
 
 import numpy as np
-import pytest
 
 from repro.channel.config import ChannelConfig
 from repro.core.hints import MobilityEstimate
@@ -15,15 +14,11 @@ from repro.roaming.schemes import (
     StickToFirstAp,
     StrongestApOracle,
 )
-from repro.roaming.simulator import simulate_roaming
+from repro.roaming.simulator import RoamingSession
+from repro.sim import SimulationEngine, TimeGrid
 from repro.util.geometry import Point
 from repro.wlan.floorplan import default_office_floorplan
 from repro.wlan.multilink import MultiApChannel
-
-# These tests go through the deprecated 1.1 shim entry points on purpose
-# (pinning their behaviour); their DeprecationWarnings are expected here
-# while CI escalates unexpected ones to errors.
-pytestmark = pytest.mark.filterwarnings("ignore:simulate_:DeprecationWarning")
 
 
 class FakeContext(RoamingContext):
@@ -209,12 +204,20 @@ class TestSimulator:
         channel = MultiApChannel(floorplan, self.ROAM_CFG, seed=seed)
         return channel.evaluate(trajectory, sample_interval_s=0.1, include_h=include_h)
 
+    @staticmethod
+    def _run(multi, seed, **schemes):
+        """Co-run one :class:`RoamingSession` per ``label=scheme`` arm."""
+        engine = SimulationEngine(TimeGrid(multi.times))
+        for label, scheme in schemes.items():
+            engine.add(RoamingSession(multi, scheme, seed=seed, client=label))
+        return engine.run()
+
     def test_stick_never_roams(self):
         trajectory = WaypointWalkTrajectory(Point(5, 5), area=(1, 1, 39, 24), seed=2).sample(
             20.0, 0.02
         )
         multi = self._multi(trajectory)
-        result = simulate_roaming(multi, StickToFirstAp(), seed=3)
+        result = self._run(multi, 3, stick=StickToFirstAp())["stick"]
         assert len(result.handoffs) == 0
         assert len(set(result.ap_timeline.tolist())) == 1
 
@@ -223,7 +226,7 @@ class TestSimulator:
             30.0, 0.02
         )
         multi = self._multi(trajectory)
-        result = simulate_roaming(multi, StrongestApOracle(), seed=5)
+        result = self._run(multi, 5, oracle=StrongestApOracle())["oracle"]
         assert len(result.handoffs) >= 1
 
     def test_handoff_causes_outage(self):
@@ -231,7 +234,7 @@ class TestSimulator:
             30.0, 0.02
         )
         multi = self._multi(trajectory)
-        result = simulate_roaming(multi, StrongestApOracle(), seed=7)
+        result = self._run(multi, 7, oracle=StrongestApOracle())["oracle"]
         if result.handoffs:
             event = result.handoffs[0]
             index = int(np.searchsorted(result.times, event.time_s))
@@ -240,7 +243,7 @@ class TestSimulator:
     def test_static_client_default_scheme_stable(self):
         trajectory = StaticTrajectory(Point(8, 7)).sample(20.0, 0.02)
         multi = self._multi(trajectory, seed=8)
-        result = simulate_roaming(multi, DefaultClientRoaming(), seed=9)
+        result = self._run(multi, 9, default=DefaultClientRoaming())["default"]
         assert len(result.handoffs) == 0
         assert result.mean_throughput_mbps > 1.0
 
@@ -250,8 +253,8 @@ class TestSimulator:
             60.0, 0.02
         )
         multi = self._multi(trajectory, seed=11, include_h=True)
-        stick = simulate_roaming(multi, StickToFirstAp(), seed=12)
-        controller = simulate_roaming(multi, ControllerRoaming(), seed=12)
+        results = self._run(multi, 12, stick=StickToFirstAp(), controller=ControllerRoaming())
+        stick, controller = results["stick"], results["controller"]
         assert controller.mean_throughput_mbps > stick.mean_throughput_mbps * 0.95
 
     def test_tcp_throughput_below_udp(self):
@@ -259,5 +262,5 @@ class TestSimulator:
             20.0, 0.02
         )
         multi = self._multi(trajectory, seed=14)
-        result = simulate_roaming(multi, DefaultClientRoaming(), seed=15)
+        result = self._run(multi, 15, default=DefaultClientRoaming())["default"]
         assert result.tcp_throughput_mbps() <= result.mean_throughput_mbps

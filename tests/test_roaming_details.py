@@ -1,22 +1,17 @@
 """Focused tests of the roaming simulator internals."""
 
 import numpy as np
-import pytest
 
 from repro.channel.config import ChannelConfig
 from repro.core.classifier import ClassifierConfig
 from repro.mobility.scenarios import macro_scenario
 from repro.mobility.trajectory import ApproachRetreatTrajectory, StaticTrajectory
 from repro.roaming.schemes import ControllerRoaming, DefaultClientRoaming
-from repro.roaming.simulator import simulate_roaming
+from repro.roaming.simulator import RoamingSession
+from repro.sim import SimulationEngine, TimeGrid
 from repro.util.geometry import Point
 from repro.wlan.floorplan import default_office_floorplan
 from repro.wlan.multilink import MultiApChannel
-
-# These tests go through the deprecated 1.1 shim entry points on purpose
-# (pinning their behaviour); their DeprecationWarnings are expected here
-# while CI escalates unexpected ones to errors.
-pytestmark = pytest.mark.filterwarnings("ignore:simulate_:DeprecationWarning")
 
 CFG = ChannelConfig(tx_power_dbm=8.0)
 
@@ -26,6 +21,15 @@ def _multi(trajectory, seed=1, include_h=True):
     return MultiApChannel(floorplan, CFG, seed=seed).evaluate(
         trajectory, sample_interval_s=0.1, include_h=include_h
     )
+
+
+def _run(multi, *sessions):
+    """Run ``sessions`` on one engine over the walk; results in session order."""
+    engine = SimulationEngine(TimeGrid(multi.times))
+    for session in sessions:
+        engine.add(session)
+    results = engine.run()
+    return [results[session.client] for session in sessions]
 
 
 class TestControllerDecisionQuality:
@@ -44,7 +48,7 @@ class TestControllerDecisionQuality:
             seed=2,
         ).sample(25.0, 0.02)
         multi = _multi(trajectory, seed=3)
-        result = simulate_roaming(multi, ControllerRoaming(), seed=4)
+        (result,) = _run(multi, RoamingSession(multi, ControllerRoaming(), seed=4))
         forced = [h for h in result.handoffs if h.forced_by_controller]
         assert forced, "leaving the cell must trigger a controller roam"
         # The roam happens after the trend window can fill (~6 s).
@@ -53,14 +57,14 @@ class TestControllerDecisionQuality:
     def test_static_client_is_never_forced(self):
         trajectory = StaticTrajectory(Point(8.0, 7.0)).sample(30.0, 0.02)
         multi = _multi(trajectory, seed=5)
-        result = simulate_roaming(multi, ControllerRoaming(), seed=6)
+        (result,) = _run(multi, RoamingSession(multi, ControllerRoaming(), seed=6))
         assert not any(h.forced_by_controller for h in result.handoffs)
 
     def test_handoff_events_reference_valid_aps(self):
         scenario = macro_scenario(Point(4, 4), area=(2, 2, 38, 23), seed=7)
         trajectory = scenario.sample(40.0, 0.02)
         multi = _multi(trajectory, seed=7)
-        result = simulate_roaming(multi, ControllerRoaming(), seed=8)
+        (result,) = _run(multi, RoamingSession(multi, ControllerRoaming(), seed=8))
         for event in result.handoffs:
             assert 0 <= event.from_ap < 6
             assert 0 <= event.to_ap < 6
@@ -70,7 +74,7 @@ class TestControllerDecisionQuality:
         scenario = macro_scenario(Point(4, 4), area=(2, 2, 38, 23), seed=9)
         trajectory = scenario.sample(30.0, 0.02)
         multi = _multi(trajectory, seed=9)
-        result = simulate_roaming(multi, ControllerRoaming(), seed=10)
+        (result,) = _run(multi, RoamingSession(multi, ControllerRoaming(), seed=10))
         changes = int(np.sum(np.diff(result.ap_timeline) != 0))
         assert changes == len(result.handoffs)
 
@@ -81,11 +85,14 @@ class TestOutageAccounting:
         scenario = macro_scenario(Point(4, 4), area=(2, 2, 38, 23), seed=11)
         trajectory = scenario.sample(40.0, 0.02)
         multi = _multi(trajectory, seed=11)
-        slow = simulate_roaming(
-            multi, ControllerRoaming(), forced_handoff_outage_s=0.5, seed=12
-        )
-        fast = simulate_roaming(
-            multi, ControllerRoaming(), forced_handoff_outage_s=0.05, seed=12
+        slow, fast = _run(
+            multi,
+            RoamingSession(
+                multi, ControllerRoaming(), forced_handoff_outage_s=0.5, seed=12, client="slow"
+            ),
+            RoamingSession(
+                multi, ControllerRoaming(), forced_handoff_outage_s=0.05, seed=12, client="fast"
+            ),
         )
         slow_outage = float(np.mean(slow.goodput_mbps == 0.0))
         fast_outage = float(np.mean(fast.goodput_mbps == 0.0))
@@ -94,8 +101,8 @@ class TestOutageAccounting:
     def test_scan_outage_counted(self):
         trajectory = StaticTrajectory(Point(38.0, 23.0)).sample(20.0, 0.02)  # weak corner
         multi = _multi(trajectory, seed=13, include_h=False)
-        result = simulate_roaming(
-            multi, DefaultClientRoaming(rssi_threshold_dbm=-40.0), seed=14
+        (result,) = _run(
+            multi, RoamingSession(multi, DefaultClientRoaming(rssi_threshold_dbm=-40.0), seed=14)
         )
         # With an absurd threshold the client scans constantly.
         assert result.n_scans > 2
@@ -117,7 +124,9 @@ class TestClassifierIntegration:
         ).sample(30.0, 0.02)
         multi = _multi(trajectory, seed=16)
         config = ClassifierConfig()
-        result = simulate_roaming(multi, ControllerRoaming(), classifier_config=config, seed=17)
+        (result,) = _run(
+            multi, RoamingSession(multi, ControllerRoaming(), classifier_config=config, seed=17)
+        )
         # Sanity only: the run completes with a coherent timeline.
         assert len(result.times) == len(result.goodput_mbps)
 
@@ -138,7 +147,7 @@ class TestNeighborRanging:
 
         trajectory = StaticTrajectory(Point(10.0, 10.0)).sample(5.0, 0.02)
         multi = _multi(trajectory, seed=20, include_h=False)
-        simulate_roaming(multi, Probe(), seed=21)
+        _run(multi, RoamingSession(multi, Probe(), seed=21))
         report = captured["report"]
         distances = [obs.distance_m for obs in report.values()]
         assert all(d is not None for d in distances)

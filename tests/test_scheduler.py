@@ -1,22 +1,27 @@
 """Tests for the mobility-aware multi-client scheduler (Section 9)."""
 
-import numpy as np
 import pytest
 
 from repro.core.hints import MobilityEstimate
 from repro.mobility.modes import Heading, MobilityMode
+from repro.rate.atheros import AtherosRateAdaptation
+from repro.sim import SimulationEngine, TimeGrid
 from repro.testing import synthetic_trace
 from repro.wlan.scheduler import (
     MobilityAwareScheduler,
     ProportionalFairScheduler,
     RoundRobinScheduler,
-    simulate_scheduling,
+    SchedulingSession,
 )
 
-# These tests go through the deprecated 1.1 shim entry points on purpose
-# (pinning their behaviour); their DeprecationWarnings are expected here
-# while CI escalates unexpected ones to errors.
-pytestmark = pytest.mark.filterwarnings("ignore:simulate_:DeprecationWarning")
+
+def _run(*sessions):
+    """Co-run scheduling sessions on one engine; results in session order."""
+    engine = SimulationEngine(TimeGrid(sessions[0].traces[0].times))
+    for session in sessions:
+        engine.add(session)
+    results = engine.run()
+    return [results[session.client] for session in sessions]
 
 
 class TestRoundRobin:
@@ -76,7 +81,7 @@ class TestSimulateScheduling:
         return [strong, weak]
 
     def test_all_clients_served(self):
-        result = simulate_scheduling(RoundRobinScheduler(), self._traces())
+        (result,) = _run(SchedulingSession(RoundRobinScheduler(), self._traces()))
         assert all(s > 0 for s in result.slots_served)
         assert all(t > 0 for t in result.per_client_mbps)
 
@@ -84,18 +89,34 @@ class TestSimulateScheduling:
         """PF allocates more slots where the channel is better; totals are
         at least comparable to round-robin."""
         traces = self._traces()
-        rr = simulate_scheduling(RoundRobinScheduler(), traces, transmitter_seed=1)
-        pf = simulate_scheduling(ProportionalFairScheduler(), traces, transmitter_seed=1)
+        rr, pf = _run(
+            SchedulingSession(RoundRobinScheduler(), traces, transmitter_seed=1, client="rr"),
+            SchedulingSession(
+                ProportionalFairScheduler(), traces, transmitter_seed=1, client="pf"
+            ),
+        )
         assert pf.per_client_mbps[0] > pf.per_client_mbps[1]
         assert pf.total_mbps > rr.total_mbps * 0.9
 
     def test_fairness_index_bounds(self):
-        result = simulate_scheduling(RoundRobinScheduler(), self._traces())
+        (result,) = _run(SchedulingSession(RoundRobinScheduler(), self._traces()))
         assert 0.0 < result.fairness_index <= 1.0
 
     def test_needs_two_clients(self):
         with pytest.raises(ValueError):
-            simulate_scheduling(RoundRobinScheduler(), [synthetic_trace()])
+            SchedulingSession(RoundRobinScheduler(), [synthetic_trace()])
+
+    @pytest.mark.parametrize("n_lists", [1, 3])
+    def test_one_hint_list_per_client(self, n_lists):
+        hints = [[MobilityEstimate(0.1, MobilityMode.STATIC)]] * n_lists
+        with pytest.raises(ValueError, match=f"{n_lists} hints for 2 clients"):
+            SchedulingSession(RoundRobinScheduler(), self._traces(), hints=hints)
+
+    def test_one_rate_adapter_per_client(self):
+        with pytest.raises(ValueError, match="1 adapters for 2 clients"):
+            SchedulingSession(
+                RoundRobinScheduler(), self._traces(), adapters=[AtherosRateAdaptation()]
+            )
 
     def test_mobility_aware_front_loads_away_client(self):
         """A retreating client is served eagerly while its channel lasts."""
@@ -107,11 +128,14 @@ class TestSimulateScheduling:
                               tof_window_full=True)],
             [MobilityEstimate(0.1, MobilityMode.STATIC)],
         ]
-        aware = simulate_scheduling(
-            MobilityAwareScheduler(), [degrading, static], hints=hints,
-            transmitter_seed=2,
-        )
-        plain = simulate_scheduling(
-            ProportionalFairScheduler(), [degrading, static], transmitter_seed=2
+        aware, plain = _run(
+            SchedulingSession(
+                MobilityAwareScheduler(), [degrading, static], hints=hints,
+                transmitter_seed=2, client="aware",
+            ),
+            SchedulingSession(
+                ProportionalFairScheduler(), [degrading, static], transmitter_seed=2,
+                client="plain",
+            ),
         )
         assert aware.per_client_mbps[0] > plain.per_client_mbps[0]

@@ -1,25 +1,20 @@
 """Focused tests of the integrated-stack internals."""
 
 import numpy as np
-import pytest
 
 from repro.channel.config import ChannelConfig
-from repro.mobility.scenarios import macro_scenario, static_scenario
+from repro.mobility.scenarios import macro_scenario
 from repro.mobility.trajectory import StaticTrajectory
+from repro.sim import SimulationEngine, TimeGrid
 from repro.util.geometry import Point
 from repro.wlan.floorplan import default_office_floorplan
 from repro.wlan.multilink import MultiApChannel
 from repro.wlan.stack import (
     StackComponents,
+    StackSession,
     default_stack,
     mobility_aware_stack,
-    simulate_stack,
 )
-
-# These tests go through the deprecated 1.1 shim entry points on purpose
-# (pinning their behaviour); their DeprecationWarnings are expected here
-# while CI escalates unexpected ones to errors.
-pytestmark = pytest.mark.filterwarnings("ignore:simulate_:DeprecationWarning")
 
 CFG = ChannelConfig(tx_power_dbm=8.0)
 
@@ -29,6 +24,14 @@ def _multi(trajectory, seed=1):
     return MultiApChannel(floorplan, CFG, seed=seed).evaluate(
         trajectory, sample_interval_s=0.1, include_h=True
     )
+
+
+def _run(multi, seed, **arms):
+    """Co-run one :class:`StackSession` per ``label=components`` arm."""
+    engine = SimulationEngine(TimeGrid(multi.times))
+    for label, components in arms.items():
+        engine.add(StackSession(multi, components, seed=seed, client=label))
+    return engine.run()
 
 
 class TestStackComposition:
@@ -57,8 +60,8 @@ class TestStackBehaviour:
     def test_static_client_few_handoffs_and_feedbacks(self):
         trajectory = StaticTrajectory(Point(8.0, 7.0)).sample(20.0, 0.02)
         multi = _multi(trajectory, seed=2)
-        aware = simulate_stack(multi, mobility_aware_stack(), seed=3)
-        default = simulate_stack(multi, default_stack(), seed=3)
+        results = _run(multi, 3, aware=mobility_aware_stack(), default=default_stack())
+        aware, default = results["aware"], results["default"]
         assert aware.n_handoffs == 0
         # A static client is classified static -> 2000 ms feedback; the
         # default stack polls every 200 ms.
@@ -67,7 +70,7 @@ class TestStackBehaviour:
     def test_goodput_timeline_shape(self):
         trajectory = StaticTrajectory(Point(8.0, 7.0)).sample(10.0, 0.02)
         multi = _multi(trajectory, seed=4)
-        result = simulate_stack(multi, default_stack(), seed=5)
+        result = _run(multi, 5, default=default_stack())["default"]
         assert result.goodput_mbps.shape == multi.times.shape
         assert np.all(result.goodput_mbps >= 0.0)
 
@@ -75,21 +78,21 @@ class TestStackBehaviour:
         scenario = macro_scenario(Point(5, 5), area=(2, 2, 38, 23), seed=6)
         trajectory = scenario.sample(30.0, 0.02)
         multi = _multi(trajectory, seed=6)
-        aware = simulate_stack(multi, mobility_aware_stack(), seed=7)
+        aware = _run(multi, 7, aware=mobility_aware_stack())["aware"]
         modes = {e.mode.value for e in aware.estimates}
         assert modes & {"micro", "macro"}  # device mobility was seen
 
     def test_tcp_below_udp(self):
         trajectory = StaticTrajectory(Point(8.0, 7.0)).sample(10.0, 0.02)
         multi = _multi(trajectory, seed=8)
-        result = simulate_stack(multi, default_stack(), seed=9)
+        result = _run(multi, 9, default=default_stack())["default"]
         assert result.tcp_throughput_mbps() <= result.mean_throughput_mbps + 1e-9
 
     def test_deterministic_given_seed(self):
         trajectory = StaticTrajectory(Point(8.0, 7.0)).sample(8.0, 0.02)
         multi = _multi(trajectory, seed=10)
-        a = simulate_stack(multi, default_stack(), seed=11)
-        b = simulate_stack(multi, default_stack(), seed=11)
+        a = _run(multi, 11, default=default_stack())["default"]
+        b = _run(multi, 11, default=default_stack())["default"]
         assert a.mean_throughput_mbps == b.mean_throughput_mbps
 
 
@@ -111,5 +114,5 @@ class TestMixedComposition:
         )
         trajectory = StaticTrajectory(Point(8.0, 7.0)).sample(8.0, 0.02)
         multi = _multi(trajectory, seed=12)
-        result = simulate_stack(multi, stack, seed=13)
+        result = _run(multi, 13, mixed=stack)["mixed"]
         assert result.mean_throughput_mbps > 0.0

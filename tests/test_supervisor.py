@@ -166,6 +166,74 @@ class TestFailFast:
         engine, _ = run_trio()
         assert engine.failures == {}
 
+    @pytest.mark.parametrize(
+        "phase, at_step, step",
+        [
+            ("start", 0, 0),
+            ("sense", 3, 3),
+            ("classify", 7, 7),
+            ("adapt", 12, 12),
+            ("transmit", 16, 16),
+            ("finish", 0, 19),
+        ],
+    )
+    def test_every_phase_aborts_through_the_supervisor(self, phase, at_step, step):
+        """One loop for every policy: under ``fail_fast`` the supervisor's
+        verdict is the abort — a ``run_abort`` marker and the re-raised
+        error, with none of the isolate/retry bookkeeping."""
+        recorder = TelemetryRecorder()
+        engine = SimulationEngine(twenty_step_grid(), recorder=recorder)
+        engine.add(NoisySession("client-0", 1))
+        fault = SessionCrashFault(phase=phase, at_step=at_step)
+        engine.add(fault.wrap(NoisySession("client-1", 2)))
+        with pytest.raises(SessionError, match=f"'client-1' failed in phase '{phase}'") as info:
+            engine.run()
+        assert (info.value.client, info.value.phase) == ("client-1", phase)
+        assert info.value.time_s == pytest.approx(0.1 * step)
+        abort = recorder.tracer.events[-1]
+        assert abort.kind == "run_abort"
+        assert (abort.client, abort.fields["phase"], abort.step) == ("client-1", phase, step)
+        assert not recorder.tracer.of_kind("session_failed")
+        assert not [name for name in recorder.metrics.counters() if name.startswith("supervisor.")]
+        assert engine.failures == {}
+
+    def test_run_end_reports_zero_quarantined(self):
+        recorder = TelemetryRecorder()
+        run_trio(recorder=recorder)
+        (run_end,) = recorder.tracer.of_kind("run_end")
+        assert run_end.fields["n_quarantined"] == 0
+
+    @pytest.mark.parametrize("policy", ["fail_fast", "isolate"])
+    def test_nested_engine_failure_is_charged_to_the_outer_session(self, policy):
+        """A SessionError escaping a nested engine names an inner client the
+        outer run does not know; every policy charges it to the outer
+        session, in the outer phase and at the outer step."""
+
+        class NestedRun(Session):
+            client = "outer"
+
+            def sense(self, clock):
+                if clock.index == 4:
+                    inner = SimulationEngine(twenty_step_grid())
+                    fault = SessionCrashFault(phase="classify", at_step=2)
+                    inner.add(fault.wrap(JournalSession("inner")))
+                    inner.run()
+
+        engine = SimulationEngine(twenty_step_grid(), supervisor=SupervisorConfig(policy=policy))
+        engine.add(NestedRun())
+        if policy == "fail_fast":
+            with pytest.raises(SessionError) as info:
+                engine.run()
+            error = info.value
+            assert (error.client, error.phase) == ("outer", "sense")
+            assert error.time_s == pytest.approx(0.4)
+            assert isinstance(error.__cause__, SessionError)
+            assert (error.__cause__.client, error.__cause__.phase) == ("inner", "classify")
+        else:
+            record = engine.run()["outer"]
+            assert (record.client, record.phase, record.step) == ("outer", "sense", 4)
+            assert record.exception_type == "SessionError"
+
 
 class TestIsolate:
     def test_survivors_bit_identical_and_failure_record_structured(self):

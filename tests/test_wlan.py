@@ -5,17 +5,13 @@ import pytest
 
 from repro.channel.config import ChannelConfig
 from repro.mobility.scenarios import macro_scenario
-from repro.mobility.trajectory import StaticTrajectory, WaypointWalkTrajectory
+from repro.mobility.trajectory import StaticTrajectory
+from repro.sim import SimulationEngine, TimeGrid
 from repro.util.geometry import Point
 from repro.wlan.floorplan import Floorplan, default_office_floorplan, single_ap_floorplan
 from repro.wlan.multilink import MultiApChannel
-from repro.wlan.stack import default_stack, mobility_aware_stack, simulate_stack
+from repro.wlan.stack import StackSession, default_stack, mobility_aware_stack
 from repro.wlan.traffic import TcpModel, udp_throughput_mbps
-
-# These tests go through the deprecated 1.1 shim entry points on purpose
-# (pinning their behaviour); their DeprecationWarnings are expected here
-# while CI escalates unexpected ones to errors.
-pytestmark = pytest.mark.filterwarnings("ignore:simulate_:DeprecationWarning")
 
 
 class TestFloorplan:
@@ -134,32 +130,39 @@ class TestStack:
             trajectory, sample_interval_s=0.1, include_h=True
         )
 
+    @staticmethod
+    def _run(multi, seed, *labels):
+        """Co-run the ``aware`` and/or ``default`` arms on one engine."""
+        arms = {"aware": mobility_aware_stack, "default": default_stack}
+        engine = SimulationEngine(TimeGrid(multi.times))
+        for label in labels:
+            engine.add(StackSession(multi, arms[label](), seed=seed, client=label))
+        results = engine.run()
+        return tuple(results[label] for label in labels)
+
     def test_both_arms_produce_throughput(self):
         multi = self._multi()
-        aware = simulate_stack(multi, mobility_aware_stack(), seed=2)
-        default = simulate_stack(multi, default_stack(), seed=2)
+        aware, default = self._run(multi, 2, "aware", "default")
         assert aware.mean_throughput_mbps > 1.0
         assert default.mean_throughput_mbps > 1.0
 
     def test_aware_arm_classifies(self):
         multi = self._multi(seed=3)
-        aware = simulate_stack(multi, mobility_aware_stack(), seed=4)
+        (aware,) = self._run(multi, 4, "aware")
         assert len(aware.estimates) > 5
 
     def test_default_arm_does_not_classify(self):
         multi = self._multi(seed=5)
-        default = simulate_stack(multi, default_stack(), seed=6)
+        (default,) = self._run(multi, 6, "default")
         assert default.estimates == []
 
     def test_aware_feeds_back_more_when_walking(self):
         multi = self._multi(seed=7)
-        aware = simulate_stack(multi, mobility_aware_stack(), seed=8)
-        default = simulate_stack(multi, default_stack(), seed=8)
+        aware, default = self._run(multi, 8, "aware", "default")
         assert aware.n_feedbacks > default.n_feedbacks
 
     def test_aware_beats_default_on_walks(self):
         """The Fig. 13 headline on one walk."""
         multi = self._multi(seed=9, duration=30.0)
-        aware = simulate_stack(multi, mobility_aware_stack(), seed=10)
-        default = simulate_stack(multi, default_stack(), seed=10)
+        aware, default = self._run(multi, 10, "aware", "default")
         assert aware.mean_throughput_mbps > default.mean_throughput_mbps
