@@ -9,8 +9,16 @@ concurrent sessions and records, per fleet size:
 
 * sustained throughput (observations/sec and session-steps/sec),
 * per-``offer()`` ingest latency percentiles (p50/p99),
+* the same loop with ``NULL_RECORDER``, and the live/null time ratio —
+  the cost of leaving telemetry on,
 * the loss counters, asserted zero — a nominally provisioned sweep must
   ingest losslessly.
+
+Each side's time is the best of ``_RUNS_PER_SIDE`` runs.  The overhead
+gate (``test_streaming_live_telemetry_overhead_gate``) then holds the
+live/null ratio at 1024 sessions to ``LIVE_OVER_NULL_LIMIT`` and the
+live throughput at 1024 sessions to at least ``RETENTION_LIMIT`` of the
+64-session figure.
 
 Results land in ``BENCH_streaming.json`` at the repo root (uploaded as a
 CI artifact next to ``BENCH_engine_scaling.json``).
@@ -28,14 +36,20 @@ import pytest
 
 from repro.core.batched import BatchedMobilityClassifier
 from repro.stream import FleetSpec, SimulatedSource, StreamConfig, StreamRouter
-from repro.telemetry.recorder import TelemetryRecorder
+from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder
 
 #: Machine-readable streaming results, written once every fleet size has
 #: run (consumed by CI as an artifact, mirroring BENCH_engine_scaling).
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_streaming.json"
 _FLEET_SIZES = (64, 256, 1024)
 _DURATION_S = 10.0
+_RUNS_PER_SIDE = 2
 _streaming_results = {}
+
+#: Live-telemetry overhead budget at 1024 sessions (live time / null time).
+LIVE_OVER_NULL_LIMIT = 3.0
+#: Live obs/s at 1024 sessions must keep this share of the 64-session rate.
+RETENTION_LIMIT = 0.5
 
 #: Counters that would reveal a lost observation in the nominal sweep.
 _LOSS_COUNTERS = (
@@ -43,6 +57,7 @@ _LOSS_COUNTERS = (
     "stream.dropped",
     "stream.shed",
     "stream.shed_sessions",
+    "stream.invalid_time",
     "stream.late",
     "stream.unknown_client",
 )
@@ -89,13 +104,39 @@ def _service_loop(source_events, router, config, latencies_out=None):
     return router
 
 
-def _record_streaming_result(n_sessions, spec, n_observations, elapsed_s, latencies):
+def _best_run(events, labels, config, make_recorder):
+    """The fastest of ``_RUNS_PER_SIDE`` service loops on fresh routers.
+
+    Returns ``(elapsed_s, offer latencies, router, recorder)`` of that run.
+    Both sides time each offer, so the per-offer timer cancels out of the
+    live/null ratio.
+    """
+    best = None
+    for _ in range(_RUNS_PER_SIDE):
+        recorder = make_recorder()
+        router = StreamRouter(
+            BatchedMobilityClassifier(labels), config=config, recorder=recorder
+        )
+        latencies = []
+        started = perf_counter()
+        _service_loop(events, router, config, latencies_out=latencies)
+        elapsed_s = perf_counter() - started
+        if best is None or elapsed_s < best[0]:
+            best = (elapsed_s, latencies, router, recorder)
+    return best
+
+
+def _record_streaming_result(
+    n_sessions, spec, n_observations, elapsed_s, null_elapsed_s, latencies
+):
     ordered = np.sort(np.asarray(latencies))
     entry = {
         "n_sessions": n_sessions,
         "n_steps": spec.n_steps,
         "n_observations": n_observations,
         "elapsed_s": float(elapsed_s),
+        "null_elapsed_s": float(null_elapsed_s),
+        "live_over_null": float(elapsed_s / null_elapsed_s),
         "observations_per_s": float(n_observations / elapsed_s),
         "session_steps_per_s": float(n_sessions * spec.n_steps / elapsed_s),
         "offer_p50_us": float(np.percentile(ordered, 50) * 1e6),
@@ -114,7 +155,7 @@ def _record_streaming_result(n_sessions, spec, n_observations, elapsed_s, latenc
 
 @pytest.mark.parametrize("n_sessions", list(_FLEET_SIZES))
 def test_perf_streaming_ingestion(fleet_sources, n_sessions):
-    """Throughput + offer latency of the full service loop, per fleet size.
+    """Throughput, offer latency and live/null cost of the service loop.
 
     Nominal provisioning (block policy, queues sized for one step of ToF
     backlog) must ingest the whole trace losslessly — any non-zero loss
@@ -127,16 +168,16 @@ def test_perf_streaming_ingestion(fleet_sources, n_sessions):
         queue_capacity=max(64, 2 * int(spec.csi_period_s / spec.tof_interval_s) + 2),
         backpressure="block",
     )
-    recorder = TelemetryRecorder(capacity=1024)
-    classifier = BatchedMobilityClassifier(source.labels)
-    router = StreamRouter(classifier, config=config, recorder=recorder)
+    null_elapsed_s, _, _, _ = _best_run(
+        events, source.labels, config, lambda: NULL_RECORDER
+    )
+    elapsed_s, latencies, router, recorder = _best_run(
+        events, source.labels, config, lambda: TelemetryRecorder(capacity=1024)
+    )
 
-    latencies = []
-    started = perf_counter()
-    _service_loop(events, router, config, latencies_out=latencies)
-    elapsed_s = perf_counter() - started
-
-    _record_streaming_result(n_sessions, spec, len(events), elapsed_s, latencies)
+    _record_streaming_result(
+        n_sessions, spec, len(events), elapsed_s, null_elapsed_s, latencies
+    )
 
     # Lossless ingestion: every observation accepted, nothing counted lost.
     assert _counter_total(recorder, "stream.accepted") == len(events)
@@ -153,7 +194,8 @@ def test_perf_streaming_ingestion(fleet_sources, n_sessions):
         f"\n[streaming] {n_sessions} sessions: "
         f"{entry['observations_per_s']:.0f} obs/s, "
         f"{entry['session_steps_per_s']:.0f} session-steps/s, "
-        f"offer p50 {entry['offer_p50_us']:.1f} us / p99 {entry['offer_p99_us']:.1f} us"
+        f"offer p50 {entry['offer_p50_us']:.1f} us / p99 {entry['offer_p99_us']:.1f} us, "
+        f"live/null {entry['live_over_null']:.2f}x"
     )
 
 
@@ -172,5 +214,44 @@ def test_streaming_bench_artifact_schema():
             "session_steps_per_s",
             "offer_p50_us",
             "offer_p99_us",
+            "null_elapsed_s",
+            "live_over_null",
         ):
             assert key in entry, f"missing {key}"
+
+
+def _load_streaming_results():
+    """This session's sweep results, else the ``BENCH_streaming.json`` a
+    previous sweep wrote; keyed by fleet size."""
+    if _streaming_results:
+        return dict(_streaming_results)
+    if BENCH_JSON_PATH.exists():
+        payload = json.loads(BENCH_JSON_PATH.read_text())
+        return {entry["n_sessions"]: entry for entry in payload.get("results", [])}
+    return {}
+
+
+def test_streaming_live_telemetry_overhead_gate():
+    """CI gate: live telemetry stays cheap enough to leave on at scale.
+
+    At 1024 sessions the live loop may take at most
+    ``LIVE_OVER_NULL_LIMIT`` times the ``NULL_RECORDER`` loop, and its
+    throughput may not fall below ``RETENTION_LIMIT`` of the 64-session
+    figure.
+    """
+    results = _load_streaming_results()
+    if not ({64, 1024} <= set(results)):
+        pytest.skip("streaming sweep has not run (no in-process results, no JSON)")
+    small, large = results[64], results[1024]
+    if "live_over_null" not in large:
+        pytest.skip("BENCH_streaming.json predates the live/null timing")
+    assert large["live_over_null"] <= LIVE_OVER_NULL_LIMIT, (
+        f"live telemetry at 1024 sessions costs {large['live_over_null']:.2f}x "
+        f"the null recorder (limit {LIVE_OVER_NULL_LIMIT}x)"
+    )
+    floor = RETENTION_LIMIT * small["observations_per_s"]
+    assert large["observations_per_s"] >= floor, (
+        f"live throughput fell from {small['observations_per_s']:.0f} obs/s at 64 "
+        f"sessions to {large['observations_per_s']:.0f} obs/s at 1024 "
+        f"(floor {floor:.0f})"
+    )

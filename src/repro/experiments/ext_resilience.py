@@ -128,6 +128,7 @@ _STREAM_LOSS_COUNTERS = (
     "stream.blocked",
     "stream.dropped",
     "stream.shed",
+    "stream.invalid_time",
     "stream.late",
     "stream.unknown_client",
 )

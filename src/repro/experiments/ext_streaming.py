@@ -64,7 +64,8 @@ class StreamingSweepResult:
         return sum(
             self.nominal_counters.get(name, 0.0)
             for name in ("stream.blocked", "stream.dropped", "stream.shed",
-                         "stream.late", "stream.unknown_client")
+                         "stream.invalid_time", "stream.late",
+                         "stream.unknown_client")
         )
 
     def format_report(self) -> str:
@@ -92,6 +93,7 @@ _LOSS_COUNTERS = (
     "stream.blocked",
     "stream.dropped",
     "stream.evicted",
+    "stream.invalid_time",
     "stream.late",
     "stream.revived",
     "stream.shed",

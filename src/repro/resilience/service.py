@@ -189,8 +189,23 @@ class ResilientService:
         sim-time instants, (b) an exhausted grid segment rolls over
         in-place and stepping continues, and (c) an armed chaos kill
         fires at exactly its scheduled service-global step.
+
+        A call that would do nothing observable returns after a clock
+        check: no step is due by ``until_s``, no checkpoint is due at
+        the current clock and no armed kill is due.  Rollover is never
+        skipped: an exhausted segment always takes the full path.
         """
-        dt_s = self.router.config.dt_s
+        router = self.router
+        stepper = router.stepper
+        if not stepper.done:
+            next_s = router.engine.grid.times[stepper.next_index]
+            if (
+                next_s > until_s
+                and not self.checkpoints.due(next_s)
+                and (self.kill is None or not self.kill.due(self.total_steps))
+            ):
+                return
+        dt_s = router.config.dt_s
         while True:
             self._maybe_checkpoint()
             self._maybe_kill()

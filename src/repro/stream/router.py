@@ -54,6 +54,7 @@ stream (also pinned by tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -66,7 +67,7 @@ from repro.sim.engine import EngineStepper, SimulationEngine, StepClock, TimeGri
 from repro.sim.sessions import BatchedSensingSession
 from repro.sim.supervisor import SupervisorConfig
 from repro.stream.observations import Observation
-from repro.stream.queues import SessionQueue
+from repro.stream.queues import BacklogCount, SessionQueue
 from repro.telemetry.recorder import NULL_RECORDER, Recorder, shield
 
 #: What a full session queue does to the offered observation.
@@ -254,8 +255,9 @@ class StreamRouter:
         ]
         self._index_of = {label: i for i, label in enumerate(self.labels)}
         n = len(self.labels)
+        self._backlog = BacklogCount()
         self.queues: List[SessionQueue] = [
-            SessionQueue(self.config.queue_capacity) for _ in range(n)
+            SessionQueue(self.config.queue_capacity, self._backlog) for _ in range(n)
         ]
         self.recorder = shield(recorder)
         self.supervisor_config = (
@@ -296,8 +298,8 @@ class StreamRouter:
 
     @property
     def backlog(self) -> int:
-        """Observations queued across all sessions."""
-        return sum(len(queue) for queue in self.queues)
+        """Observations queued across all sessions (a running count)."""
+        return self._backlog.value
 
     @property
     def clock_s(self) -> float:
@@ -312,9 +314,10 @@ class StreamRouter:
     def offer(self, observation: Observation) -> bool:
         """Ingest one observation; ``True`` iff it was queued.
 
-        Rejections are never silent: unknown clients, shed sessions, late
-        arrivals (timestamps at or behind the already-stepped clock), and
-        block-policy refusals each count under their ``stream.*`` name.
+        Rejections are never silent: non-finite timestamps, unknown
+        clients, shed sessions, late arrivals (timestamps at or behind the
+        already-stepped clock), and block-policy refusals each count under
+        their ``stream.*`` name.
         """
         recorder = self.recorder
         live = recorder.enabled
@@ -325,6 +328,12 @@ class StreamRouter:
         return accepted
 
     def _offer(self, observation: Observation, recorder: Recorder, live: bool) -> bool:
+        if not math.isfinite(observation.time_s):
+            # No step is ever due for a NaN or infinite timestamp: queued,
+            # it would block its lane, and its session, for good.
+            if live:
+                recorder.count("stream.invalid_time")
+            return False
         i = self._index_of.get(observation.client)
         if i is None:
             if live:
@@ -396,28 +405,32 @@ class StreamRouter:
     def advance(self, until_s: float) -> int:
         """Run every engine step with a start at or before ``until_s``.
 
-        Returns the number of steps run.  Raises once the configured
-        horizon is exhausted — checkpoint and restore to roll the service
-        into its next segment (:mod:`repro.stream.checkpoint`).
+        Returns the number of steps run.  A call with no step due (the
+        next grid instant is past ``until_s``) returns 0 after that one
+        clock check: it evicts nothing and records no telemetry.  The
+        ``stream.step_s`` histogram and the ``stream.backlog`` and
+        ``stream.sessions_active`` gauges are recorded once per call that
+        ran at least one step.  Raises once the configured horizon is
+        exhausted — checkpoint and restore to roll the service into its
+        next segment (:mod:`repro.stream.checkpoint`).
         """
         if self._closed:
             raise RuntimeError("router is closed")
+        stepper = self.stepper
+        grid = self.engine.grid
+        if not stepper.done and grid.times[stepper.next_index] > until_s:
+            return 0
         recorder = self.recorder
         live = recorder.enabled
         t0 = perf_counter() if live else 0.0
-        grid = self.engine.grid
         n_steps = 0
-        while (
-            not self.stepper.done
-            and float(grid.times[self.stepper.next_index]) <= until_s
-        ):
-            step_start = float(grid.times[self.stepper.next_index])
-            self._evict_idle(step_start)
-            self.stepper.step()
+        while not stepper.done and grid.times[stepper.next_index] <= until_s:
+            self._evict_idle(float(grid.times[stepper.next_index]))
+            stepper.step()
             n_steps += 1
-        if self.stepper.done and until_s > grid.end_s:
+        if stepper.done and until_s > grid.end_s:
             raise HorizonExhausted(grid.end_s, len(grid))
-        if live:
+        if live and n_steps:
             recorder.observe("stream.step_s", perf_counter() - t0)
             recorder.gauge("stream.backlog", float(self.backlog))
             recorder.gauge("stream.sessions_active", float(self.n_active_sessions))

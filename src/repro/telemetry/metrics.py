@@ -8,6 +8,7 @@ dependencies, and nothing here ever touches simulation RNG state.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type, TypeVar, Union
 
@@ -61,7 +62,10 @@ class HistogramMetric:
     Bucket ``i`` counts values in ``[edges[i-1], edges[i])``; bucket 0 is
     the underflow bin (``value < edges[0]``) and the last bucket the
     overflow bin (``value >= edges[-1]``).  Edges are fixed at creation,
-    so observing is one ``searchsorted`` — no rebinning, ever.
+    so observing is one ``bisect_right`` over a tuple of them — no
+    rebinning, ever.  It places every value exactly where
+    ``np.searchsorted(edges, value, side="right")`` would, ``nan`` in
+    the overflow bin included, at a fraction of the per-call cost.
     """
 
     def __init__(
@@ -78,6 +82,7 @@ class HistogramMetric:
         self.name = name
         self.client = client
         self.edges = edges_arr
+        self._edge_tuple = tuple(edges_arr.tolist())
         self.counts = np.zeros(len(edges_arr) + 1, dtype=np.int64)
         self.n = 0
         self.sum = 0.0
@@ -86,7 +91,7 @@ class HistogramMetric:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        self.counts[int(np.searchsorted(self.edges, value, side="right"))] += 1
+        self.counts[bisect_right(self._edge_tuple, value)] += 1
         self.n += 1
         self.sum += value
         if value < self.min:

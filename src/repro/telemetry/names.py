@@ -102,6 +102,7 @@ REGISTRY: Tuple[TelemetryName, ...] = (
     TelemetryName(_C, "stream.blocked", "offers rejected by a full queue under the block policy"),
     TelemetryName(_C, "stream.dropped", "queued observations discarded under the drop_oldest policy"),
     TelemetryName(_C, "stream.evicted", "idle sessions whose classifier state was evicted"),
+    TelemetryName(_C, "stream.invalid_time", "observations refused for a NaN or infinite timestamp"),
     TelemetryName(_C, "stream.late", "observations arriving behind the already-stepped clock"),
     TelemetryName(_C, "stream.revived", "evicted sessions revived by a fresh observation"),
     TelemetryName(_C, "stream.shed", "observations refused because their session was shed"),
@@ -126,8 +127,8 @@ REGISTRY: Tuple[TelemetryName, ...] = (
     TelemetryName(_G, "stack.handoffs", "final handoff count of a full-stack run"),
     TelemetryName(_G, "stack.mean_goodput_mbps", "mean goodput of a full-stack run"),
     TelemetryName(_G, "stack.scans", "final scan count of a full-stack run"),
-    TelemetryName(_G, "stream.backlog", "queued observations across all sessions after a pump"),
-    TelemetryName(_G, "stream.sessions_active", "non-evicted, non-shed sessions after a pump"),
+    TelemetryName(_G, "stream.backlog", "queued observations across all sessions, per pump that ran >= 1 step"),
+    TelemetryName(_G, "stream.sessions_active", "non-evicted, non-shed sessions, per pump that ran >= 1 step"),
     # ----------------------------------------------------------- histograms
     TelemetryName(_H, "channel.elapsed_s", "wall time of one channel evaluation"),
     TelemetryName(_H, "controller.epoch_s", "wall time of one controller policy epoch"),
@@ -135,7 +136,7 @@ REGISTRY: Tuple[TelemetryName, ...] = (
     TelemetryName(_H, "rate.frame_airtime_s", "airtime of one rate-control frame"),
     TelemetryName(_H, "scheduler.frame_airtime_s", "airtime of one scheduled frame"),
     TelemetryName(_H, "stream.offer_s", "wall time of one observation offer into the router"),
-    TelemetryName(_H, "stream.step_s", "wall time of one router pump (engine steps + evictions)"),
+    TelemetryName(_H, "stream.step_s", "wall time of one router pump that ran >= 1 step (engine steps + evictions)"),
     # --------------------------------------------------------------- events
     TelemetryName(_E, "adaptation", "a session applied a decision (handoff/scan/hint_applied)"),
     TelemetryName(_E, "channel_batch", "one batched MultiLinkChannel.evaluate_many call"),

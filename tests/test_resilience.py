@@ -359,6 +359,12 @@ class TestKillRecoverGolden:
         )
         assert any(e.kind == "service_recovered" for e in recorder.events)
 
+    def test_kill_at_step_zero_fires_on_a_call_with_no_step_due(self, tmp_path):
+        service = make_service(tmp_path, kill=ServiceKillFault(at_step=0))
+        with pytest.raises(ServiceKilled):
+            service.advance(-1.0)
+        assert service.total_steps == 0
+
     def test_fresh_service_writes_recovery_point_zero(self, tmp_path):
         service = make_service(tmp_path)
         artifacts = list_artifacts(service.checkpoints.directory)

@@ -354,6 +354,27 @@ class TestRejections:
         assert router.offer(csi_observation("a", 0.0, np.ones(4)))
         assert counter_total(recorder, "stream.late") == 0.0
 
+    @pytest.mark.parametrize("bad_s", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("make", [csi_observation, tof_observation])
+    def test_non_finite_timestamp_refused_and_lane_keeps_flowing(self, make, bad_s):
+        router, recorder, _ = make_router(queue_capacity=16)
+        payload = np.ones(4) if make is csi_observation else 200.0
+        assert not router.offer(make("a", bad_s, payload))
+        assert counter_total(recorder, "stream.invalid_time") == 1.0
+        assert counter_total(recorder, "stream.accepted") == 0.0
+        assert router.backlog == 0
+        # A refused NaN never sits at the head of a lane, so client "a"
+        # keeps classifying exactly like client "b".
+        for k in range(10):
+            t = 0.5 * k
+            for client in ("a", "b"):
+                assert router.offer(csi_observation(client, t, np.ones(4)))
+                assert router.offer(tof_observation(client, t, 200.0))
+            router.advance(t)
+        results = router.results()
+        assert len(results["a"]) == len(results["b"]) > 0
+        assert router.backlog == 0
+
 
 class TestEvictionAndRevival:
     def test_idle_session_evicted_with_safe_hint(self):

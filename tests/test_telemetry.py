@@ -110,6 +110,22 @@ class TestHistogram:
         with pytest.raises(ValueError):
             HistogramMetric("t", edges=(1.0, 1.0))
 
+    @pytest.mark.parametrize("edges", [DEFAULT_HISTOGRAM_EDGES, (1.0, 2.0, 4.0), (0.0,)])
+    def test_bucket_matches_searchsorted(self, edges):
+        """Each value lands in the bucket ``searchsorted(side="right")`` names."""
+        edges_arr = np.asarray(edges, dtype=float)
+        values = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0]
+        for edge in edges_arr:
+            values += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+        rng = np.random.default_rng(11)
+        values += list(10.0 ** rng.uniform(-8, 4, size=200))
+        values += list(rng.normal(0.0, 3.0, size=50))
+        for value in values:
+            hist = HistogramMetric("t", edges=edges)
+            hist.observe(value)
+            expected = int(np.searchsorted(edges_arr, value, side="right"))
+            assert hist.counts.sum() == 1 and hist.counts[expected] == 1, value
+
 
 class TestTracer:
     def test_ring_drops_oldest(self):
@@ -376,6 +392,94 @@ class TestNullRecorderOverhead:
             f"{n_checks} checks x {per_check_s:.2e}s = {overhead:.4f}s "
             f"vs run {run_s:.4f}s"
         )
+
+
+class _CallCountingRecorder(Recorder):
+    """Live recorder that only remembers the name of each hook call."""
+
+    enabled = True
+
+    def __init__(self):
+        self.calls = []
+
+    def count(self, name, value=1.0, client=None):
+        self.calls.append(name)
+
+    def gauge(self, name, value, client=None):
+        self.calls.append(name)
+
+    def observe(self, name, value, client=None):
+        self.calls.append(name)
+
+    def event(self, kind, time_s, client=None, step=None, **fields):
+        self.calls.append(kind)
+
+
+class TestServiceHookCount:
+    """The live service's telemetry work per call must not grow with N."""
+
+    @staticmethod
+    def router(n):
+        from repro.core.batched import BatchedMobilityClassifier
+        from repro.stream import StreamConfig, StreamRouter
+
+        recorder = _CallCountingRecorder()
+        labels = [f"c{i}" for i in range(n)]
+        config = StreamConfig(dt_s=0.5, horizon_steps=20, queue_capacity=8)
+        router = StreamRouter(
+            BatchedMobilityClassifier(labels), config=config, recorder=recorder
+        )
+        return router, recorder, labels
+
+    @staticmethod
+    def stream_calls(recorder, since):
+        return [name for name in recorder.calls[since:] if name.startswith("stream.")]
+
+    def test_offer_and_noop_advance_cost_nothing_per_fleet_member(self):
+        from repro.stream import csi_observation
+
+        router, recorder, labels = self.router(256)
+        before = len(recorder.calls)
+        assert router.offer(csi_observation(labels[0], 1.0, np.ones(4)))
+        assert len(recorder.calls) - before <= 2
+        before = len(recorder.calls)
+        assert router.advance(-0.1) == 0  # the first step (t=0) is not due
+        assert recorder.calls[before:] == []
+
+    def test_stepping_advance_makes_the_same_stream_calls_at_any_fleet_size(self):
+        from repro.stream import csi_observation, tof_observation
+
+        per_size = {}
+        for n in (16, 256):
+            router, recorder, labels = self.router(n)
+            for label in labels:  # every member has its CSI: no csi_missing
+                router.offer(csi_observation(label, 0.0, np.ones(4)))
+                router.offer(tof_observation(label, 0.0, 200.0))
+            before = len(recorder.calls)
+            assert router.advance(0.0) == 1
+            per_size[n] = self.stream_calls(recorder, before)
+        assert per_size[16] == per_size[256]
+        assert len(per_size[256]) == 3
+
+    def test_noop_service_advance_records_nothing(self, tmp_path):
+        from repro.core.batched import BatchedMobilityClassifier
+        from repro.resilience import ResilienceConfig, ResilientService
+        from repro.stream import StreamConfig
+
+        recorder = _CallCountingRecorder()
+        service = ResilientService(
+            BatchedMobilityClassifier(["a", "b"]),
+            StreamConfig(dt_s=0.5, horizon_steps=20),
+            resilience=ResilienceConfig(
+                checkpoint_dir=str(tmp_path), checkpoint_every_s=2.0
+            ),
+            recorder=recorder,
+        )
+        service.advance(1.0)  # runs steps 0.0, 0.5, 1.0
+        before = len(recorder.calls)
+        service.advance(1.2)
+        assert recorder.calls[before:] == []
+        assert service.total_steps == 3
 
 
 class TestExportFormatting:
