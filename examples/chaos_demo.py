@@ -31,12 +31,17 @@ import numpy as np
 
 from repro.channel.config import ChannelConfig
 from repro.channel.model import MultiLinkChannel
-from repro.core.classifier import MobilityClassifier
+from repro.core import BatchedMobilityClassifier
 from repro.faults import RecorderFault, SessionCrashFault
 from repro.mobility.trajectory import WaypointWalkTrajectory
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.simulator import RateControlSession
-from repro.sim import FailureRecord, SensingSession, SimulationEngine, SupervisorConfig
+from repro.sim import (
+    BatchedSensingSession,
+    FailureRecord,
+    SimulationEngine,
+    SupervisorConfig,
+)
 from repro.telemetry import TelemetryRecorder, write_failure_report
 from repro.util.geometry import Point
 
@@ -61,7 +66,9 @@ def build_engine(recorder) -> SimulationEngine:
     def factory(index, trace):
         if index == 0:
             measured = trace.measured_csi(np.random.default_rng(0))
-            return SensingSession(MobilityClassifier(), measured, client="sense-0")
+            return BatchedSensingSession(
+                BatchedMobilityClassifier(["sense-0"]), [measured], client="sense-0"
+            )
         session = RateControlSession(
             AtherosRateAdaptation(), trace, client=f"rate-{index}"
         )

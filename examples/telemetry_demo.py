@@ -22,13 +22,13 @@ import numpy as np
 
 from repro.channel.config import ChannelConfig
 from repro.channel.model import MultiLinkChannel
-from repro.core.classifier import MobilityClassifier
+from repro.core import BatchedMobilityClassifier
 from repro.core.hints import MobilityEstimate
 from repro.mobility.modes import Heading, MobilityMode
 from repro.mobility.trajectory import WaypointWalkTrajectory
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.simulator import RateControlSession
-from repro.sim import SensingSession, SimulationEngine
+from repro.sim import BatchedSensingSession, SimulationEngine
 from repro.telemetry import TelemetryRecorder
 from repro.util.geometry import Point
 
@@ -48,7 +48,9 @@ def build_engine(recorder: TelemetryRecorder) -> SimulationEngine:
     def factory(index, trace):
         if index == 0:
             measured = trace.measured_csi(np.random.default_rng(0))
-            return SensingSession(MobilityClassifier(), measured, client="sense-0")
+            return BatchedSensingSession(
+                BatchedMobilityClassifier(["sense-0"]), [measured], client="sense-0"
+            )
         return RateControlSession(
             AtherosRateAdaptation(), trace, hints=hints, client=f"rate-{index}"
         )

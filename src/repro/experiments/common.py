@@ -6,9 +6,10 @@ truth (Table 1, Fig. 6).  :func:`run_classification` reproduces that
 pipeline end to end: trajectory -> channel -> measured CSI / noisy ToF ->
 classifier -> scored decisions.
 
-Sensing runs are driven by :class:`repro.sim.SimulationEngine` with a
-:class:`repro.sim.SensingSession` per link; cadences (CSI, ToF) map onto
-grid strides through :meth:`repro.sim.TimeGrid.stride_for`.
+Sensing runs are driven by :class:`repro.sim.SimulationEngine` with each
+link as a one-member :class:`repro.sim.BatchedSensingSession`; cadences
+(CSI, ToF) map onto grid strides through
+:meth:`repro.sim.TimeGrid.stride_for`.
 """
 
 from __future__ import annotations
@@ -20,19 +21,30 @@ import numpy as np
 
 from repro.channel.config import ChannelConfig
 from repro.channel.model import LinkChannel
-from repro.core.classifier import ClassifierConfig, MobilityClassifier
+from repro.core.batched import BatchedMobilityClassifier
+from repro.core.classifier import ClassifierConfig
 from repro.core.hints import MobilityEstimate
 from repro.faults import FaultPlan
 from repro.mobility.modes import MODE_ORDER, GroundTruth, Heading, MobilityMode
 from repro.mobility.scenarios import MobilityScenario
 from repro.phy.tof import ToFConfig, ToFSampler
-from repro.sim import FailureRecord, SensingSession, SimulationEngine, SupervisorConfig, TimeGrid
+from repro.sim import (
+    BatchedSensingSession,
+    FailureRecord,
+    SimulationEngine,
+    SupervisorConfig,
+    TimeGrid,
+)
 from repro.telemetry.recorder import NULL_RECORDER, Recorder
 from repro.util.geometry import Point
 from repro.util.rng import SeedLike, ensure_rng, spawn_rngs, stable_seed
 
 #: Trajectory time step used by classification runs — the ToF cadence.
 TRAJECTORY_DT_S = 0.02
+
+#: Client label of a single-link sensing run: names its one-member cohort,
+#: its run result, its failure record and its telemetry series.
+LINK_LABEL = "client"
 
 
 @dataclass
@@ -147,7 +159,7 @@ def classification_decisions(
 
     outcome = ClassificationOutcome(grace_s=grace_s)
 
-    def score(now: float, estimate: MobilityEstimate) -> None:
+    def score(client: str, now: float, estimate: MobilityEstimate) -> None:
         if now < warmup_s:
             return
         if grace_s > 0.0 and len(transitions):
@@ -157,11 +169,12 @@ def classification_decisions(
         truth_index = min(int(now / TRAJECTORY_DT_S), len(truths) - 1)
         outcome.decisions.append((estimate, truths[truth_index]))
 
-    session = SensingSession(
-        MobilityClassifier(classifier_config),
-        measured,
-        tof_times=trajectory.times,
-        tof_readings=tof_readings,
+    session = BatchedSensingSession(
+        BatchedMobilityClassifier([LINK_LABEL], classifier_config),
+        [measured],
+        [trajectory.times],
+        [tof_readings],
+        client=LINK_LABEL,
         on_estimate=score,
     )
     engine = SimulationEngine(TimeGrid(trace.times), recorder=recorder)
@@ -331,25 +344,26 @@ def sense_and_classify(
     csi_stride = fine_grid.stride_for(
         classifier_config.csi_sampling_period_s, strict=False, name="csi_sampling_period_s"
     )
-    session = SensingSession(
-        MobilityClassifier(classifier_config),
-        measured[::csi_stride],
-        tof_times=tof_times,
-        tof_readings=tof_readings,
-        faults=faults,
+    session = BatchedSensingSession(
+        BatchedMobilityClassifier([LINK_LABEL], classifier_config),
+        [measured[::csi_stride]],
+        [tof_times],
+        [tof_readings],
+        client=LINK_LABEL,
+        faults=None if faults is None else {LINK_LABEL: faults},
     )
     engine = SimulationEngine(
         TimeGrid(trace.times[::csi_stride]), recorder=recorder, supervisor=supervisor
     )
     engine.add(session)
-    result = engine.run()[session.client]
+    result = engine.run()[LINK_LABEL]
     truths = scenario.ground_truth(trajectory, ap)
     if isinstance(result, FailureRecord):
         # Quarantined pipeline: partial hints, structured failure attached.
         return SensedLink(
             trajectory=trajectory,
             trace=trace,
-            hints=list(session.estimates),
+            hints=list(session.estimates_by_client[0]),
             truths=truths,
             failure=result,
         )

@@ -5,7 +5,7 @@ Two layers of deterministic, seeded failure injection:
 * **input-stream corruption** (:mod:`repro.faults.injectors`) — drop,
   duplicate, delay, NaN over the ToF/CSI sensing streams, composable
   through :class:`FaultPlan` and wired into
-  :class:`repro.sim.SensingSession`;
+  :class:`repro.sim.BatchedSensingSession`;
 * **component-level chaos** (:mod:`repro.faults.chaos`) —
   :class:`SessionCrashFault` (raise in a chosen phase/step),
   :class:`ChannelEvalFault`, and :class:`RecorderFault`, the harness for

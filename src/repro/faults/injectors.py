@@ -8,8 +8,8 @@ or arrive corrupted (calibration glitches reported as NaN).  The injectors
 let any protocol study replay exactly those imperfections on top of a clean
 simulated trace, with a seed so a degraded run is reproducible bit for bit.
 
-Two stream shapes are supported, matching how :class:`repro.sim.SensingSession`
-consumes its inputs:
+Two stream shapes are supported, matching how
+:class:`repro.sim.BatchedSensingSession` consumes each member's inputs:
 
 * a **timed stream** — parallel ``(times, values)`` arrays (the ToF feed);
 * a **grid stream** — one optional sample per engine step (the CSI feed),

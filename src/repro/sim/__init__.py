@@ -23,7 +23,7 @@ from repro.sim.engine import (
     StepClock,
     TimeGrid,
 )
-from repro.sim.sessions import BatchedSensingSession, SensingSession
+from repro.sim.sessions import BatchedSensingSession
 from repro.sim.supervisor import POLICIES, FailureRecord, Supervisor, SupervisorConfig
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "BatchedSensingSession",
     "EngineStepper",
     "FailureRecord",
-    "SensingSession",
     "Session",
     "SessionError",
     "SimulationEngine",

@@ -262,8 +262,9 @@ class Session:
 
         Subclasses whose output feeds other components override this to
         hand those consumers a safe, mobility-oblivious default instead of
-        stale state (see :class:`repro.sim.SensingSession`).  The hook is
-        called from a guarded context: raising here cannot abort the run.
+        stale state (see :class:`repro.sim.BatchedSensingSession`).  The
+        hook is called from a guarded context: raising here cannot abort
+        the run.
         """
 
     # ----------------------------------------------------------- checkpointing
@@ -605,7 +606,9 @@ class EngineStepper:
     def finalize(self) -> Dict[str, Any]:
         """Collect every session's ``finish()``; ``{client: result}``.
 
-        Quarantined clients map to their :class:`repro.sim.FailureRecord`.
+        Quarantined clients map to their :class:`repro.sim.FailureRecord`;
+        every member of a quarantined cohort maps to its own record, or to
+        the cohort's if it had none.
         """
         if self._finalized:
             raise RuntimeError("run already finalized")
@@ -616,17 +619,18 @@ class EngineStepper:
         results: Dict[str, Any] = {}
         for session in engine._sessions:
             record = supervisor.quarantined.get(session.client)
-            if record is not None:
-                results[session.client] = record
-                continue
-            try:
-                engine._collect_result(results, session, session.finish())
-            except Exception as exc:
-                results[session.client] = supervisor.on_failure(
-                    session,
-                    engine._session_error(session, "finish", grid.end_s, exc),
-                    step=len(grid) - 1,
-                )
+            if record is None:
+                try:
+                    engine._collect_result(results, session, session.finish())
+                    continue
+                except Exception as exc:
+                    record = supervisor.on_failure(
+                        session,
+                        engine._session_error(session, "finish", grid.end_s, exc),
+                        step=len(grid) - 1,
+                    )
+            for client in session.clients:
+                results[client] = supervisor.quarantined.get(client, record)
         if self.live:
             self.recorder.event(
                 "run_end",

@@ -1,9 +1,10 @@
-"""Reusable session building blocks shared by the protocol simulators.
+"""The sensing session: pre-sampled CSI/ToF streams fed to the classifier.
 
 Concrete protocol sessions (the integrated AP stack, the multi-client
 scheduler, saturated rate-control links) live next to the machinery they
-configure in ``repro.wlan`` and ``repro.rate``; this module holds the
-generic pieces that several of them share.
+configure in ``repro.wlan`` and ``repro.rate``; this module holds the one
+generic sensing pipeline that the experiment harnesses, examples and the
+streaming router share.  A single link runs as a one-member cohort.
 """
 
 from __future__ import annotations
@@ -23,144 +24,47 @@ if TYPE_CHECKING:  # import cycle guard: faults imports repro.sim
     from repro.sim.supervisor import FailureRecord
 
 
-class SensingSession(Session):
-    """Feeds pre-sampled ToF and CSI streams to a classifier on the grid.
-
-    The engine grid runs at the CSI cadence; each step pushes every ToF
-    reading up to the step instant (``sense``) and then the step's CSI
-    sample (``classify``).  Estimates are collected in arrival order —
-    exactly the stream a serving AP would emit as mobility hints.
-
-    ``csi_by_step`` entries may be ``None`` — a step in which no CSI was
-    observed (no client traffic); the step simply classifies nothing, and a
-    time-aware classifier sees the resulting sampling gap.  A
-    :class:`repro.faults.FaultPlan` passed as ``faults`` degrades both
-    input streams at :meth:`start` (deterministically, per the plan seed),
-    so any protocol study can run under imperfect input; the injected
-    fault counts surface through the bound telemetry recorder.
-    """
-
-    def __init__(
-        self,
-        classifier: Any,
-        csi_by_step: Sequence[Any],
-        tof_times: Sequence[float] = (),
-        tof_readings: Sequence[float] = (),
-        client: str = "client",
-        on_estimate: Optional[Callable[[float, Any], None]] = None,
-        faults: Optional["FaultPlan"] = None,
-    ) -> None:
-        if len(tof_times) != len(tof_readings):
-            raise ValueError("ToF times and readings must pair up")
-        self.client = client
-        self.classifier = classifier
-        self._csi = csi_by_step
-        self._tof_times = tof_times
-        self._tof_readings = tof_readings
-        self._tof_cursor = 0
-        self._on_estimate = on_estimate
-        self._faults = faults
-        self.estimates: List[Any] = []
-
-    def bind_recorder(self, recorder: Recorder) -> None:
-        super().bind_recorder(recorder)
-        # Propagate into the classifier so verdicts surface as events
-        # (duck-typed classifiers without the hook are left alone).
-        if hasattr(self.classifier, "recorder"):
-            self.classifier.recorder = recorder
-            self.classifier.telemetry_client = self.client
-
-    def start(self, grid: TimeGrid) -> None:
-        if len(self._csi) != len(grid):
-            raise ValueError(
-                f"{len(self._csi)} CSI samples cannot cover a {len(grid)}-step grid"
-            )
-        if self._faults is not None:
-            self._tof_times, self._tof_readings = self._faults.apply_stream(
-                self._tof_times, self._tof_readings, label="tof"
-            )
-            self._csi = self._faults.apply_grid(self._csi, label="csi")
-            if self.recorder.enabled:
-                for name, count in self._faults.stats.items():
-                    if count:
-                        self.recorder.count(name, count, client=self.client)
-
-    def sense(self, clock: StepClock) -> None:
-        while (
-            self._tof_cursor < len(self._tof_times)
-            and self._tof_times[self._tof_cursor] <= clock.start_s
-        ):
-            i = self._tof_cursor
-            if self.classifier.wants_tof:
-                self.classifier.push_tof(float(self._tof_times[i]), float(self._tof_readings[i]))
-            self._tof_cursor += 1
-
-    def classify(self, clock: StepClock) -> None:
-        sample = self._csi[clock.index]
-        if sample is None:
-            # No traffic, no CSI: the step carries no observation.
-            if self.recorder.enabled:
-                self.recorder.count("sensing.csi_missing", client=self.client)
-            return
-        estimate = self.classifier.push_csi(clock.start_s, sample)
-        if estimate is not None:
-            self.estimates.append(estimate)
-            if self._on_estimate is not None:
-                self._on_estimate(clock.start_s, estimate)
-
-    def finish(self) -> List[Any]:
-        return self.estimates
-
-    def on_quarantine(self, time_s: float, record: "FailureRecord") -> None:
-        """Degrade safely: hand the live consumer a mobility-oblivious hint.
-
-        A quarantined sensing pipeline must not leave its consumer acting
-        on the last pre-failure estimate (a stale MACRO/AWAY hint keeps
-        biasing schedulers and roaming forever), so the ``on_estimate``
-        consumer receives one :func:`repro.core.hints.safe_default_hint`
-        at the quarantine instant.  Collected ``estimates`` are left
-        untouched — the run result for this client is the
-        :class:`repro.sim.FailureRecord`, not a doctored estimate stream.
-        """
-        if self._on_estimate is not None:
-            self._on_estimate(time_s, safe_default_hint(time_s))
-
-
 class BatchedSensingSession(Session):
-    """A whole client cohort's sensing pipeline as one engine session.
+    """A client cohort's sensing pipeline as one engine session.
 
-    The arrays-of-clients counterpart of running N :class:`SensingSession`
-    instances: sense, classify and adapt execute **once per step over the
-    cohort** (one ToF ingest, one CSI slab push through a
-    :class:`repro.core.batched.BatchedMobilityClassifier`) instead of N
-    times, while each member keeps its own scalar-equivalent state inside
-    the batched arrays.  Per-member results are bit-identical to the N
-    independent scalar sessions — that equivalence is property-tested in
+    The engine grid runs at the CSI cadence.  Each step, ``sense`` pushes
+    every member's ToF readings up to the step instant and ``classify``
+    then pushes the step's CSI samples: one ToF ingest and one CSI slab
+    push through a :class:`repro.core.batched.BatchedMobilityClassifier`
+    per step for the whole cohort, while each member keeps its own state
+    inside the batched arrays.  Estimates are collected per member in
+    arrival order — exactly the stream a serving AP would emit as
+    mobility hints.  A single link is a one-member cohort: name the
+    cohort ``client`` after its member, and run results, failure records
+    and telemetry all carry that one label.  Per-member results do not
+    depend on the cohort a member runs in — property-tested in
     ``tests/test_batched_classifier.py``.
 
-    Supervision still operates per member (the PR-4 invariant, extended):
-    the engine routes member-attributed failures (see ``member_faults``)
-    to the supervisor, and the supervisor's verdict comes back through
-    :meth:`on_quarantine` / :meth:`on_suspend` / :meth:`on_resume`, which
-    *mask* the member out of the batch rather than removing it — a masked
-    member's cursors and classifier rows freeze exactly where a skipped
-    scalar session's would, so survivors never see the difference and a
-    resumed member drains its sensing backlog like a suspended scalar
-    session does.
+    Supervision operates per member: the engine routes member-attributed
+    failures (see ``member_faults``) to the supervisor, and the
+    supervisor's verdict comes back through :meth:`on_quarantine` /
+    :meth:`on_suspend` / :meth:`on_resume`, which *mask* the member out
+    of the batch rather than removing it.  A masked member's ToF cursor
+    and classifier rows freeze, so survivors never see the difference and
+    a resumed member drains its sensing backlog in timestamp order.  A
+    failure that cannot be pinned on one member (the classifier raising,
+    a ``start`` failure) quarantines the whole cohort, and every member
+    still running is degraded the way a quarantined member is.
 
     Inputs are per member: ``csi_by_client[i]`` is client ``i``'s per-step
-    sample sequence (``None`` marks a step without traffic, exactly as in
-    :class:`SensingSession`), ``tof_times_by_client[i]`` /
-    ``tof_readings_by_client[i]`` its ToF stream.  ``faults`` maps member
-    labels to :class:`repro.faults.FaultPlan` degradations applied at
-    :meth:`start`; ``member_faults`` maps member labels to
+    sample sequence, ``tof_times_by_client[i]`` /
+    ``tof_readings_by_client[i]`` its ToF stream.  A ``None`` CSI entry is
+    a step without traffic: the member classifies nothing that step, and
+    a time-aware classifier sees the resulting sampling gap.  ``faults``
+    maps member labels to :class:`repro.faults.FaultPlan` degradations
+    applied to both streams at :meth:`start` (deterministically, per the
+    plan seed; the injected fault counts surface through the bound
+    telemetry recorder); ``member_faults`` maps member labels to
     :class:`repro.faults.SessionCrashFault` chaos schedules (engine step
     phases only — cohort ``start``/``finish`` failures are cohort-wide by
     construction).
 
-    ``on_estimate`` receives ``(client, time_s, estimate)`` — one extra
-    leading argument compared to the scalar session, since one callback
-    serves the whole cohort.
+    ``on_estimate`` receives ``(client, time_s, estimate)``.
     """
 
     is_cohort = True
@@ -241,9 +145,8 @@ class BatchedSensingSession(Session):
 
     def bind_recorder(self, recorder: Recorder) -> None:
         super().bind_recorder(recorder)
-        if hasattr(self.classifier, "recorder"):
-            self.classifier.recorder = recorder
-            self.classifier.client_labels[:] = self._labels
+        self.classifier.recorder = recorder
+        self.classifier.client_labels[:] = self._labels
 
     # ------------------------------------------------------------ lifecycle
 
@@ -461,25 +364,29 @@ class BatchedSensingSession(Session):
     # ---------------------------------------------------------- supervision
 
     def on_quarantine(self, time_s: float, record: "FailureRecord") -> None:
-        """Mask the quarantined member out of the batch (not the cohort).
+        """Degrade safely: mask the member out and hand its consumer a
+        mobility-oblivious hint.
 
-        Mirrors :meth:`SensingSession.on_quarantine` per member: the
-        ``on_estimate`` consumer gets one safe mobility-oblivious hint,
-        the member's batch rows freeze, and its run result becomes the
-        :class:`repro.sim.FailureRecord`.  A record naming the cohort
-        itself (a cohort-wide ``start`` failure) masks everyone.
+        A quarantined pipeline must not leave its consumer acting on the
+        last pre-failure estimate (a stale MACRO/AWAY hint keeps biasing
+        schedulers and roaming forever), so the ``on_estimate`` consumer
+        receives one :func:`repro.core.hints.safe_default_hint` at the
+        quarantine instant, the member's batch rows freeze, and its run
+        result becomes the :class:`repro.sim.FailureRecord`.  Collected
+        estimates are left untouched as the partial truth.  A record
+        naming the cohort itself (a failure no member owns) degrades
+        every member not already quarantined, each with that record.
         """
-        member = record.client
-        i = self._index_of.get(member)
-        if i is None:
-            self._masked[:] = True
-            self._pending_mask.clear()
-            return
-        self._masked[i] = True
-        self._pending_mask.discard(i)
-        self._failures[member] = record
-        if self._on_estimate is not None:
-            self._on_estimate(member, time_s, safe_default_hint(time_s))
+        member = self._index_of.get(record.client)
+        for i in range(len(self._labels)) if member is None else (member,):
+            label = self._labels[i]
+            if label in self._failures:
+                continue
+            self._masked[i] = True
+            self._pending_mask.discard(i)
+            self._failures[label] = record
+            if self._on_estimate is not None:
+                self._on_estimate(label, time_s, safe_default_hint(time_s))
 
     def on_suspend(self, client: str, time_s: float, resume_s: float) -> None:
         i = self._index_of.get(client)

@@ -1,15 +1,15 @@
-"""Equivalence suite: the arrays-of-clients path vs N scalar pipelines.
+"""Equivalence suite: the arrays-of-clients path vs N independent pipelines.
 
 The contract under test (see ``docs/architecture.md``, "Arrays-of-clients
 execution model"): for any seeded scenario — mixed static/mobile clients,
 NaN bursts, missing CSI steps, ``max_csi_gap_s`` resets, fault-plan
 degraded streams, chaos-quarantined members — a
-:class:`repro.core.BatchedMobilityClassifier` (and a
-:class:`repro.sim.BatchedSensingSession` cohort run) must produce output
-*element-wise identical* to N independent scalar pipelines: same
-:class:`MobilityEstimate` sequences, same per-client counters, same
-per-client event subsequences.  Only the cross-client interleaving of
-events within a step may differ.
+:class:`repro.core.BatchedMobilityClassifier` must produce output
+*element-wise identical* to N scalar classifiers fed reading by reading,
+and a :class:`repro.sim.BatchedSensingSession` cohort run must match N
+independent one-member cohort runs: same :class:`MobilityEstimate`
+sequences, same per-client counters, same per-client event subsequences.
+Only the cross-client interleaving of events within a step may differ.
 """
 
 from dataclasses import dataclass
@@ -23,11 +23,17 @@ from hypothesis import strategies as st
 from repro.core import BatchedMobilityClassifier, MobilityClassifier
 from repro.core.classifier import ClassifierConfig
 from repro.core.tof_trend import ToFTrendConfig
-from repro.faults import DropFault, FaultPlan, NaNFault, SessionCrashFault
+from repro.faults import (
+    DelayFault,
+    DropFault,
+    DuplicateFault,
+    FaultPlan,
+    NaNFault,
+    SessionCrashFault,
+)
 from repro.sim import (
     BatchedSensingSession,
     FailureRecord,
-    SensingSession,
     SimulationEngine,
     SupervisorConfig,
     TimeGrid,
@@ -221,28 +227,29 @@ def check_classifier_equivalence(scenario: Scenario, dense: bool) -> None:
 # ------------------------------------------------------- engine-level runs
 
 
-def run_scalar_engine(
+def run_independent_engine(
     scenario: Scenario,
     faults: Optional[Dict[str, FaultPlan]] = None,
     chaos: Optional[Dict[str, SessionCrashFault]] = None,
     supervisor: Optional[SupervisorConfig] = None,
 ) -> Tuple[Dict[str, Any], TelemetryRecorder]:
+    """Every client as its own one-member cohort on one engine."""
     recorder = TelemetryRecorder()
     engine = SimulationEngine(
         TimeGrid(scenario.grid_times), recorder=recorder, supervisor=supervisor
     )
     for i, label in enumerate(scenario.labels):
-        session: Any = SensingSession(
-            MobilityClassifier(scenario.config),
-            scenario.csi_by_client[i],
-            scenario.tof_times_by_client[i],
-            scenario.tof_readings_by_client[i],
-            client=label,
-            faults=(faults or {}).get(label),
+        engine.add(
+            BatchedSensingSession(
+                BatchedMobilityClassifier([label], scenario.config),
+                [scenario.csi_by_client[i]],
+                [scenario.tof_times_by_client[i]],
+                [scenario.tof_readings_by_client[i]],
+                client=label,
+                faults={label: faults[label]} if faults and label in faults else None,
+                member_faults={label: chaos[label]} if chaos and label in chaos else None,
+            )
         )
-        if chaos and label in chaos:
-            session = chaos[label].wrap(session)
-        engine.add(session)
     return engine.run(), recorder
 
 
@@ -270,14 +277,38 @@ def run_batched_engine(
     return engine.run(), recorder
 
 
+#: Fault specs per scenario client index.  Faults are stateless; each run
+#: side gets fresh :class:`FaultPlan` instances (plans carry RNG state).
+FAULT_SPECS: Dict[str, Dict[int, Tuple[Any, ...]]] = {
+    "drop+nan": {1: (DropFault(0.3), NaNFault(0.2)), 4: (NaNFault(0.5),)},
+    "duplicate": {1: (DuplicateFault(0.3),), 4: (DuplicateFault(0.6),)},
+    "delay": {1: (DelayFault(0.3),), 4: (DelayFault(0.5, delay_s=1.2, delay_steps=2),)},
+    "duplicate+drop": {2: (DuplicateFault(0.3), DropFault(0.3))},
+    "delay+nan": {0: (DelayFault(0.4, delay_s=0.3), NaNFault(0.2))},
+    "all-kinds": {
+        3: (DropFault(0.2), DuplicateFault(0.2), DelayFault(0.2), NaNFault(0.1)),
+        5: (NaNFault(0.1), DelayFault(0.3, delay_s=0.7), DuplicateFault(0.3)),
+    },
+}
+
+
+def fault_plans(scenario: Scenario, spec: Dict[int, Tuple[Any, ...]]) -> Dict[str, FaultPlan]:
+    return {
+        scenario.labels[i]: FaultPlan(list(faults), seed=100 + i) for i, faults in spec.items()
+    }
+
+
 def check_engine_equivalence(
     scenario: Scenario,
-    faults: Optional[Dict[str, FaultPlan]] = None,
+    fault_spec: Optional[Dict[int, Tuple[Any, ...]]] = None,
     chaos: Optional[Dict[str, SessionCrashFault]] = None,
     supervisor: Optional[SupervisorConfig] = None,
 ) -> None:
-    ref_results, ref_recorder = run_scalar_engine(scenario, faults, chaos, supervisor)
-    got_results, got_recorder = run_batched_engine(scenario, faults, chaos, supervisor)
+    def plans() -> Optional[Dict[str, FaultPlan]]:
+        return fault_plans(scenario, fault_spec) if fault_spec else None
+
+    ref_results, ref_recorder = run_independent_engine(scenario, plans(), chaos, supervisor)
+    got_results, got_recorder = run_batched_engine(scenario, plans(), chaos, supervisor)
     assert set(ref_results) == set(got_results) == set(scenario.labels)
     for label in scenario.labels:
         ref, got = ref_results[label], got_results[label]
@@ -331,7 +362,7 @@ class TestClassifierEquivalence:
 
 
 class TestEngineEquivalence:
-    """BatchedSensingSession cohort runs vs N scalar SensingSession runs."""
+    """One N-member cohort vs N one-member cohorts on the same engine."""
 
     def test_clean_run(self):
         scenario = make_scenario(seed=21, n_clients=7, max_gap_s=1.5)
@@ -341,26 +372,11 @@ class TestEngineEquivalence:
         scenario = make_scenario(seed=23, n_clients=5, time_aware=True, max_gap_s=1.5)
         check_engine_equivalence(scenario)
 
-    def test_fault_plan_degraded_streams(self):
-        scenario = make_scenario(seed=29, n_clients=6)
-        faults = {
-            scenario.labels[1]: FaultPlan([DropFault(0.3), NaNFault(0.2)], seed=101),
-            scenario.labels[4]: FaultPlan([NaNFault(0.5)], seed=102),
-        }
-        # Identical FaultPlan construction on both sides: plans are seeded,
-        # so two instances built from the same spec corrupt identically.
-        scalar_faults = {
-            scenario.labels[1]: FaultPlan([DropFault(0.3), NaNFault(0.2)], seed=101),
-            scenario.labels[4]: FaultPlan([NaNFault(0.5)], seed=102),
-        }
-        ref_results, ref_recorder = run_scalar_engine(scenario, faults=scalar_faults)
-        got_results, got_recorder = run_batched_engine(scenario, faults=faults)
-        for label in scenario.labels:
-            assert_estimates_equal(ref_results[label], got_results[label], label)
-        assert per_client_counters(ref_recorder) == per_client_counters(got_recorder)
-        assert per_client_events(ref_recorder, scenario.labels) == per_client_events(
-            got_recorder, scenario.labels
-        )
+    @pytest.mark.parametrize("time_aware", [False, True], ids=["count-based", "time-aware"])
+    @pytest.mark.parametrize("spec", list(FAULT_SPECS))
+    def test_fault_plan_degraded_streams(self, spec, time_aware):
+        scenario = make_scenario(seed=29, n_clients=6, time_aware=time_aware)
+        check_engine_equivalence(scenario, fault_spec=FAULT_SPECS[spec])
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -373,7 +389,7 @@ class TestEngineEquivalence:
 
 
 class TestQuarantineEquivalence:
-    """Masked members vs quarantined scalar sessions — survivors bit-identical."""
+    """Masked members vs quarantined one-member cohorts — survivors bit-identical."""
 
     def _chaos(self, scenario: Scenario, label: str, **kwargs) -> Dict[str, SessionCrashFault]:
         return {label: SessionCrashFault(**kwargs)}
@@ -392,7 +408,7 @@ class TestQuarantineEquivalence:
         scenario = make_scenario(seed=37, n_clients=5)
         crasher = scenario.labels[0]
         chaos = self._chaos(scenario, crasher, phase="sense", at_step=4)
-        ref_results, _ = run_scalar_engine(
+        ref_results, _ = run_independent_engine(
             scenario, chaos=chaos, supervisor=SupervisorConfig(policy="isolate")
         )
         got_results, _ = run_batched_engine(
@@ -523,9 +539,9 @@ class TestBatchedSessionValidation:
                 scenario.tof_readings_by_client,
             )
         )
-        clash = SensingSession(
-            MobilityClassifier(scenario.config), scenario.csi_by_client[0],
-            client=scenario.labels[0],
+        label = scenario.labels[0]
+        clash = BatchedSensingSession(
+            BatchedMobilityClassifier([label]), [scenario.csi_by_client[0]], client=label
         )
         with pytest.raises(ValueError, match="duplicate session name"):
             engine.add(clash)

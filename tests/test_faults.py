@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.classifier import ClassifierConfig, MobilityClassifier
+from repro.core import BatchedMobilityClassifier
+from repro.core.classifier import ClassifierConfig
 from repro.core.tof_trend import ToFTrendConfig
 from repro.faults import (
     ChannelEvalFault,
@@ -17,7 +18,7 @@ from repro.faults import (
     SessionCrashFault,
 )
 from repro.mobility.modes import MobilityMode
-from repro.sim import SensingSession, SimulationEngine, TimeGrid
+from repro.sim import BatchedSensingSession, SimulationEngine, TimeGrid
 from repro.telemetry import TelemetryRecorder
 
 
@@ -161,32 +162,37 @@ class TestFaultPlan:
             FaultPlan([], seed=0).apply_stream([0.0, 1.0], [5.0])
 
 
+class CountingClassifier(BatchedMobilityClassifier):
+    """A one-member classifier counting the readings its session feeds it."""
+
+    def __init__(self, config=None):
+        super().__init__(["client"], config)
+        self.n_tof = 0
+        self.n_csi = 0
+
+    def push_tof(self, chunks, mask=None):
+        self.n_tof += sum(len(chunk[0]) for chunk in chunks if chunk is not None)
+        super().push_tof(chunks, mask=mask)
+
+    def push_csi(self, time_s, samples, mask=None):
+        self.n_csi += 1  # one member: the session pushes only present samples
+        return super().push_csi(time_s, samples, mask=mask)
+
+
 class TestSessionWiring:
-    """FaultPlan plugged into SensingSession degrades the run's inputs."""
+    """FaultPlan plugged into the sensing session degrades the run's inputs."""
 
     def _run(self, faults=None, recorder=None, n_steps=8):
-        class FakeClassifier:
-            wants_tof = True
-
-            def __init__(self):
-                self.tof = []
-                self.csi = []
-
-            def push_tof(self, time_s, reading):
-                self.tof.append((time_s, reading))
-
-            def push_csi(self, time_s, sample):
-                self.csi.append(sample)
-                return None
-
-        classifier = FakeClassifier()
+        rng = np.random.default_rng(0)
+        classifier = CountingClassifier()
         times = np.arange(n_steps * 5) * 0.1
-        session = SensingSession(
+        session = BatchedSensingSession(
             classifier,
-            csi_by_step=[np.ones(4) * i for i in range(n_steps)],
-            tof_times=times,
-            tof_readings=np.full(len(times), 100.0),
-            faults=faults,
+            [[rng.normal(1.0, 0.2, 4) for _ in range(n_steps)]],
+            [times],
+            [np.full(len(times), 100.0)],
+            client="client",
+            faults=None if faults is None else {"client": faults},
         )
         grid = TimeGrid(np.arange(n_steps) * 0.5)
         engine = SimulationEngine(grid, recorder=recorder) if recorder else SimulationEngine(grid)
@@ -196,7 +202,7 @@ class TestSessionWiring:
 
     def test_no_faults_delivers_everything(self):
         classifier = self._run()
-        assert len(classifier.csi) == 8
+        assert classifier.n_csi == 8
 
     def test_dropped_csi_steps_are_skipped_and_counted(self):
         recorder = TelemetryRecorder()
@@ -205,7 +211,7 @@ class TestSessionWiring:
         )
         missing = recorder.metrics.counter("sensing.csi_missing", client="client").value
         assert missing > 0
-        assert len(classifier.csi) == 8 - missing
+        assert classifier.n_csi == 8 - missing
 
     def test_fault_stats_surface_as_counters(self):
         recorder = TelemetryRecorder()
@@ -216,7 +222,7 @@ class TestSessionWiring:
 
     def test_tof_drop_thins_the_timed_stream(self):
         classifier = self._run(faults=FaultPlan([DropFault(0.4)], seed=13))
-        assert 0 < len(classifier.tof) < 40
+        assert 0 < classifier.n_tof < self._run().n_tof
 
 
 class TestEndToEndDegradedRun:
@@ -225,18 +231,18 @@ class TestEndToEndDegradedRun:
 
     def _macro_run(self, tof_config, seed=99):
         cfg = ClassifierConfig(similarity_smoothing_window=1, tof=tof_config)
-        classifier = MobilityClassifier(cfg)
         rng = np.random.default_rng(seed)
         n_steps = 40  # 20 s at the 0.5 s CSI cadence
         csi = [np.abs(rng.standard_normal(52)) + 0.05 for _ in range(n_steps)]
         tof_times = np.arange(0.0, n_steps * 0.5, 0.02)
         tof_readings = 100.0 + 1.2 * tof_times  # brisk walk away: true MACRO
-        session = SensingSession(
-            classifier,
-            csi_by_step=csi,
-            tof_times=tof_times,
-            tof_readings=tof_readings,
-            faults=FaultPlan([DropFault(0.25)], seed=seed),
+        session = BatchedSensingSession(
+            BatchedMobilityClassifier(["client"], cfg),
+            [csi],
+            [tof_times],
+            [tof_readings],
+            client="client",
+            faults={"client": FaultPlan([DropFault(0.25)], seed=seed)},
         )
         engine = SimulationEngine(TimeGrid(np.arange(n_steps) * 0.5))
         engine.add(session)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import BatchedMobilityClassifier
 from repro.core.classifier import ClassifierConfig
 from repro.sim import (
     PHASES,
-    SensingSession,
+    BatchedSensingSession,
     Session,
     SessionError,
     SimulationEngine,
-    StepClock,
     TimeGrid,
 )
 
@@ -163,8 +163,10 @@ class TestSessionError:
         assert excinfo.value.time_s == pytest.approx(0.0)
 
     def test_start_failures_are_wrapped_too(self):
-        classifier = object()  # never consulted: the CSI count check fails first
-        session = SensingSession(classifier, csi_by_step=[1, 2, 3], client="laptop")
+        # Three CSI samples cannot cover a two-step grid: start() raises.
+        session = BatchedSensingSession(
+            BatchedMobilityClassifier(["laptop"]), [[np.ones(4)] * 3], client="laptop"
+        )
         engine = SimulationEngine(TimeGrid(np.array([0.0, 0.1])))
         engine.add(session)
         with pytest.raises(SessionError, match="laptop.*start"):
@@ -192,37 +194,60 @@ class TestEngineRegistration:
             engine.run()
 
 
+class JournalingClassifier(BatchedMobilityClassifier):
+    """Journals every reading the session feeds it, then classifies for real."""
+
+    def __init__(self, label):
+        super().__init__([label])
+        self.journal = []
+
+    def push_tof(self, chunks, mask=None):
+        for chunk in chunks:
+            if chunk is not None:
+                self.journal.extend(("tof", float(t), float(v)) for t, v in zip(*chunk))
+        super().push_tof(chunks, mask=mask)
+
+    def push_csi(self, time_s, samples, mask=None):
+        self.journal.append(("csi", time_s))
+        return super().push_csi(time_s, samples, mask=mask)
+
+
 class TestSensingSession:
+    """A single link runs as a one-member ``BatchedSensingSession``."""
+
     def test_tof_readings_must_pair_with_times(self):
         with pytest.raises(ValueError, match="pair"):
-            SensingSession(object(), [1.0], tof_times=[0.0, 0.1], tof_readings=[5.0])
+            BatchedSensingSession(
+                BatchedMobilityClassifier(["client"]),
+                [[np.ones(4)]],
+                tof_times_by_client=[[0.0, 0.1]],
+                tof_readings_by_client=[[5.0]],
+            )
 
     def test_estimates_stream_in_decision_order(self):
-        class FakeClassifier:
-            wants_tof = True
-
-            def __init__(self):
-                self.tof = []
-
-            def push_tof(self, time_s, reading):
-                self.tof.append((time_s, reading))
-
-            def push_csi(self, time_s, sample):
-                return (time_s, sample) if sample % 2 == 0 else None
-
-        classifier = FakeClassifier()
+        rng = np.random.default_rng(3)
+        csi = [rng.normal(1.0, 0.2, 8) for _ in range(4)]
+        csi[2] = None  # a step without traffic classifies nothing
+        classifier = JournalingClassifier("laptop")
         seen = []
-        session = SensingSession(
+        session = BatchedSensingSession(
             classifier,
-            csi_by_step=[0, 1, 2],
-            tof_times=[0.0, 0.05, 0.15],
-            tof_readings=[7.0, 8.0, 9.0],
-            on_estimate=lambda now, est: seen.append(now),
+            [csi],
+            tof_times_by_client=[[0.0, 0.05, 0.15, 0.25]],
+            tof_readings_by_client=[[7.0, 8.0, 9.0, 10.0]],
+            client="laptop",
+            on_estimate=lambda client, now, est: seen.append((client, now, est)),
         )
-        engine = SimulationEngine(TimeGrid(np.array([0.0, 0.1, 0.2])))
+        engine = SimulationEngine(TimeGrid(np.array([0.0, 0.1, 0.2, 0.3])))
         engine.add(session)
-        estimates = engine.run()[session.client]
+        estimates = engine.run()["laptop"]
         # ToF readings arrive before the step's CSI decision, in timestamp order.
-        assert classifier.tof == [(0.0, 7.0), (0.05, 8.0), (0.15, 9.0)]
-        assert estimates == [(0.0, 0), (0.2, 2)]
-        assert seen == [0.0, 0.2]
+        assert classifier.journal == [
+            ("tof", 0.0, 7.0), ("csi", 0.0),
+            ("tof", 0.05, 8.0), ("csi", 0.1),
+            ("tof", 0.15, 9.0),
+            ("tof", 0.25, 10.0), ("csi", 0.3),
+        ]
+        # The first CSI sample only primes the similarity stream.
+        assert [e.time_s for e in estimates] == [0.1, 0.3]
+        assert seen == [("laptop", e.time_s, e) for e in estimates]

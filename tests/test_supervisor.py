@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core import BatchedMobilityClassifier
 from repro.core.hints import safe_default_hint
 from repro.experiments.common import sense_and_classify
 from repro.faults import (
@@ -26,8 +27,8 @@ from repro.faults import (
 from repro.mobility.modes import Heading, MobilityMode
 from repro.mobility.scenarios import macro_scenario
 from repro.sim import (
+    BatchedSensingSession,
     FailureRecord,
-    SensingSession,
     Session,
     SessionError,
     SimulationEngine,
@@ -47,6 +48,24 @@ from repro.util.geometry import Point
 
 def twenty_step_grid():
     return TimeGrid(np.arange(0.0, 2.0, 0.1))
+
+
+def twenty_csi_samples(seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(1.0, 0.2, 8) for _ in range(20)]
+
+
+class RaisingClassifier(BatchedMobilityClassifier):
+    """A cohort classifier whose CSI push raises from ``from_s`` on."""
+
+    def __init__(self, clients, from_s):
+        super().__init__(clients)
+        self.from_s = from_s
+
+    def push_csi(self, time_s, samples, mask=None):
+        if time_s >= self.from_s:
+            raise RuntimeError("classifier blew up")
+        return super().push_csi(time_s, samples, mask=mask)
 
 
 class NoisySession(Session):
@@ -394,34 +413,71 @@ class TestSafeHintDegradation:
         assert not hint.moving_away and not hint.moving_towards
 
     def test_quarantined_sensing_session_pushes_safe_hint_downstream(self):
-        class FakeClassifier:
-            wants_tof = False
-
-            def push_csi(self, time_s, sample):
-                return (time_s, float(sample))
-
         seen = []
-        session = SensingSession(
-            FakeClassifier(),
-            csi_by_step=list(range(20)),
+        session = BatchedSensingSession(
+            BatchedMobilityClassifier(["sensor"]),
+            [twenty_csi_samples()],
             client="sensor",
-            on_estimate=lambda now, est: seen.append(est),
+            on_estimate=lambda client, now, est: seen.append(est),
+            member_faults={"sensor": SessionCrashFault(phase="classify", at_step=7)},
         )
-        fault = SessionCrashFault(phase="classify", at_step=6)
         engine = SimulationEngine(
             twenty_step_grid(), supervisor=SupervisorConfig(policy="isolate")
         )
-        engine.add(fault.wrap(session))
+        engine.add(session)
         results = engine.run()
         assert isinstance(results["sensor"], FailureRecord)
-        # steps 0..5 produced real estimates, then one safe default
-        assert seen[:-1] == [(round(0.1 * i, 10), float(i)) for i in range(6)] or len(seen) == 7
+        # steps 1..6 produced real estimates (step 0 only primes), then one
+        # safe default at the quarantine instant
+        partial = session.estimates_by_client[0]
+        assert len(partial) == 6
+        assert seen[:-1] == partial
         final = seen[-1]
-        assert final.mode == MobilityMode.STATIC
-        assert not final.tof_window_full
-        assert final.time_s == pytest.approx(0.6)
-        # collected estimates are left as the partial truth, not doctored
-        assert len(session.estimates) == 6
+        assert final == safe_default_hint(final.time_s)
+        assert final.time_s == pytest.approx(0.7)
+
+    def test_cohort_wide_quarantine_degrades_every_member(self):
+        """A failure no member owns (the classifier itself raising) must
+        leave no consumer on its last pre-failure hint."""
+        seen = {"a": [], "b": []}
+        session = BatchedSensingSession(
+            RaisingClassifier(["a", "b"], from_s=0.45),
+            [twenty_csi_samples(seed=1), twenty_csi_samples(seed=2)],
+            on_estimate=lambda client, now, est: seen[client].append(est),
+        )
+        engine = SimulationEngine(
+            twenty_step_grid(), supervisor=SupervisorConfig(policy="isolate")
+        )
+        engine.add(session)
+        results = engine.run()
+        record = engine.failures["cohort"]
+        assert record.step == 5 and record.exception_type == "RuntimeError"
+        assert results == {"a": record, "b": record}
+        for client in ("a", "b"):
+            assert [e.time_s for e in seen[client][:-1]] == pytest.approx(
+                [0.1, 0.2, 0.3, 0.4]
+            )
+            assert seen[client][-1] == safe_default_hint(record.time_s)
+
+    def test_cohort_wide_quarantine_keeps_earlier_member_records(self):
+        seen = {"a": [], "b": []}
+        session = BatchedSensingSession(
+            RaisingClassifier(["a", "b"], from_s=0.45),
+            [twenty_csi_samples(seed=1), twenty_csi_samples(seed=2)],
+            on_estimate=lambda client, now, est: seen[client].append(est),
+            member_faults={"b": SessionCrashFault(phase="classify", at_step=2)},
+        )
+        engine = SimulationEngine(
+            twenty_step_grid(), supervisor=SupervisorConfig(policy="isolate")
+        )
+        engine.add(session)
+        results = engine.run()
+        member, cohort = engine.failures["b"], engine.failures["cohort"]
+        assert results == {"a": cohort, "b": member}
+        # b was degraded once, at its own quarantine, and never again
+        assert [e.time_s for e in seen["b"]] == pytest.approx([0.1, 0.2])
+        assert seen["b"][-1] == safe_default_hint(member.time_s)
+        assert seen["a"][-1] == safe_default_hint(cohort.time_s)
 
 
 class TestRecorderShielding:

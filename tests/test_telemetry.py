@@ -16,13 +16,13 @@ import pytest
 
 from repro.channel.config import ChannelConfig
 from repro.channel.model import MultiLinkChannel
-from repro.core.classifier import MobilityClassifier
+from repro.core.batched import BatchedMobilityClassifier
 from repro.core.hints import MobilityEstimate
 from repro.mobility.modes import Heading, MobilityMode
 from repro.mobility.trajectory import WaypointWalkTrajectory
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.simulator import RateControlSession
-from repro.sim import SensingSession, Session, SimulationEngine, TimeGrid
+from repro.sim import BatchedSensingSession, Session, SimulationEngine, TimeGrid
 from repro.telemetry import (
     DEFAULT_HISTOGRAM_EDGES,
     NULL_RECORDER,
@@ -240,7 +240,9 @@ def _for_clients_run(recorder):
     def factory(index, trace):
         if index == 0:
             measured = trace.measured_csi(np.random.default_rng(0))
-            return SensingSession(MobilityClassifier(), measured, client="sense-0")
+            return BatchedSensingSession(
+                BatchedMobilityClassifier(["sense-0"]), [measured], client="sense-0"
+            )
         return RateControlSession(
             AtherosRateAdaptation(), trace, hints=hints, client=f"rate-{index}"
         )
@@ -420,7 +422,6 @@ class TestServiceHookCount:
 
     @staticmethod
     def router(n):
-        from repro.core.batched import BatchedMobilityClassifier
         from repro.stream import StreamConfig, StreamRouter
 
         recorder = _CallCountingRecorder()
@@ -462,7 +463,6 @@ class TestServiceHookCount:
         assert len(per_size[256]) == 3
 
     def test_noop_service_advance_records_nothing(self, tmp_path):
-        from repro.core.batched import BatchedMobilityClassifier
         from repro.resilience import ResilienceConfig, ResilientService
         from repro.stream import StreamConfig
 
