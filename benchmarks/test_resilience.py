@@ -11,7 +11,11 @@ fleet size the sweep records:
   restore) — the time from crash to serving again;
 * rollover overhead: wall-clock for a run forced through many horizon
   rollovers vs the same run on one long grid (ratio ~1 means the
-  checkpoint/restore seam is cheap enough to leave on everywhere).
+  checkpoint/restore seam is cheap enough to leave on everywhere);
+* artifact growth: a rollover starts the next segment with an empty
+  estimate history, so the rolled run's newest artifact (after at least
+  3 rollovers) must be at most 1.1x the first one written after its
+  first rollover — a deterministic size gate.
 
 Results land in ``BENCH_resilience.json`` at the repo root (uploaded as
 a CI artifact next to ``BENCH_streaming.json``).
@@ -61,7 +65,7 @@ def fleets():
 
 
 def _run_service(spec, labels, events, workdir, horizon_steps, every_s=2.0,
-                 save_latencies=None):
+                 save_latencies=None, artifact_sizes=None):
     service = ResilientService(
         BatchedMobilityClassifier(list(labels)),
         StreamConfig(dt_s=spec.csi_period_s, horizon_steps=horizon_steps),
@@ -70,16 +74,18 @@ def _run_service(spec, labels, events, workdir, horizon_steps, every_s=2.0,
             keep_checkpoints=3,
         ),
     )
-    if save_latencies is not None:
-        inner_save = service.checkpoints.save
+    inner_save = service.checkpoints.save
 
-        def timed_save(router, extra=None):
-            t0 = perf_counter()
-            path = inner_save(router, extra=extra)
+    def observed_save(router, extra=None):
+        t0 = perf_counter()
+        path = inner_save(router, extra=extra)
+        if save_latencies is not None:
             save_latencies.append(perf_counter() - t0)
-            return path
+        if artifact_sizes is not None:
+            artifact_sizes.append((service.rollovers, os.path.getsize(path)))
+        return path
 
-        service.checkpoints.save = timed_save
+    service.checkpoints.save = observed_save
     service.run(
         [SourceSpec("fleet", lambda: list(events), clients=tuple(labels))],
         until_s=_DURATION_S,
@@ -124,13 +130,22 @@ def test_perf_resilient_service(fleets, tmp_path, n_clients):
     assert recovered.clock_s == pytest.approx(service.clock_s)
 
     # Tiny horizon: the same run forced through many rollovers.
+    rolled_sizes = []
     started = perf_counter()
     rolled = _run_service(
         spec, labels, events, tmp_path / "rolled",
-        horizon_steps=max(5, spec.n_steps // 5),
+        horizon_steps=max(5, spec.n_steps // 5), artifact_sizes=rolled_sizes,
     )
     rolled_elapsed_s = perf_counter() - started
     assert rolled.rollovers >= 3
+    # Size gate: artifacts do not grow with uptime across rollovers.
+    first_rolled_bytes = next(size for rollovers, size in rolled_sizes if rollovers == 1)
+    newest_rollovers, newest_bytes = rolled_sizes[-1]
+    assert newest_rollovers >= 3
+    assert newest_bytes <= 1.1 * first_rolled_bytes, (
+        f"artifact grew from {first_rolled_bytes} B after rollover 1 to "
+        f"{newest_bytes} B after rollover {newest_rollovers}"
+    )
 
     ordered = np.sort(np.asarray(save_latencies))
     entry = {
@@ -138,6 +153,9 @@ def test_perf_resilient_service(fleets, tmp_path, n_clients):
         "n_steps": spec.n_steps,
         "n_checkpoints": len(save_latencies),
         "artifact_bytes": int(artifact_bytes),
+        "bytes_per_session": float(artifact_bytes / n_clients),
+        "rolled_first_bytes": int(first_rolled_bytes),
+        "rolled_newest_bytes": int(newest_bytes),
         "checkpoint_p50_ms": float(np.percentile(ordered, 50) * 1e3),
         "checkpoint_p99_ms": float(np.percentile(ordered, 99) * 1e3),
         "recovery_ms": float(recovery_s * 1e3),
@@ -169,6 +187,7 @@ def test_resilience_bench_artifact_schema():
     for entry in payload["results"]:
         for key in (
             "artifact_bytes",
+            "bytes_per_session",
             "checkpoint_p50_ms",
             "checkpoint_p99_ms",
             "recovery_ms",

@@ -16,6 +16,8 @@ REP003    telemetry names resolve to ``repro.telemetry.names``
 REP004    no swallowed failures (bare/silent ``except``)
 REP005    unit suffixes (``_s``/``_ms``/``_hz``) on float
           time/frequency parameters of public APIs
+REP006    pickle-free library (no ``pickle``/``dill``/``shelve``/
+          ``marshal`` imports, no ``allow_pickle=True``)
 REP000    suppression hygiene (reported by the engine itself)
 ========  ==========================================================
 

@@ -22,7 +22,7 @@ from repro.analysis.rules import ALL_RULES, RULES_BY_CODE
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Check the project's reproducibility invariants (REP001-REP005).",
+        description="Check the project's reproducibility invariants (REP001-REP006).",
     )
     parser.add_argument(
         "paths",

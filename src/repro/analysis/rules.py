@@ -19,6 +19,8 @@ short form:
   accounting.
 * **REP005** — float time/frequency parameters carry unit suffixes
   (``_s``/``_ms``/``_hz`` …) on public APIs.
+* **REP006** — no pickle-family serialisation in the library: loading a
+  pickle runs code, and checkpoint bytes read from disk are untrusted.
 """
 
 from __future__ import annotations
@@ -547,6 +549,57 @@ class UnitSuffixRule(Rule):
         return isinstance(default, ast.Constant) and isinstance(default.value, float)
 
 
+class PickleFreeRule(Rule):
+    """REP006 — no pickle-family serialisation in the library."""
+
+    code = "REP006"
+    title = "pickle-free library"
+    rationale = (
+        "Unpickling runs whatever code the bytes name, and the library "
+        "reads checkpoint artifacts back from disk: a foreign or tampered "
+        "file must never execute.  Library state is arrays and plain "
+        "values, written and read without pickle (checkpoint format v3)."
+    )
+    contexts = frozenset({"src"})
+
+    _MODULES = frozenset({"pickle", "cPickle", "_pickle", "dill", "shelve", "marshal"})
+
+    def check(self, tree: ast.AST, source: str, path: str) -> Iterable[Diagnostic]:
+        out: List[Diagnostic] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                modules = [node.module]
+            else:
+                modules = []
+            for module in modules:
+                if module.split(".")[0] in self._MODULES:
+                    out.append(
+                        self.diag(
+                            path,
+                            node,
+                            f"`{module}` deserialises by running code — store arrays "
+                            "and plain values (see repro.stream.checkpoint)",
+                        )
+                    )
+            if (
+                isinstance(node, ast.keyword)
+                and node.arg == "allow_pickle"
+                and isinstance(node.value, ast.Constant)
+                and node.value.value is True
+            ):
+                out.append(
+                    self.diag(
+                        path,
+                        node.value,
+                        "`allow_pickle=True` lets numpy unpickle object arrays — "
+                        "keep the default (False)",
+                    )
+                )
+        return out
+
+
 #: The rule set, in catalog order.
 ALL_RULES: Tuple[Rule, ...] = (
     SeededRngRule(),
@@ -554,6 +607,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     TelemetrySchemaRule(),
     SwallowedFailureRule(),
     UnitSuffixRule(),
+    PickleFreeRule(),
 )
 
 RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in ALL_RULES}

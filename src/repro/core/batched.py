@@ -44,12 +44,12 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.hints import MobilityEstimate
+from repro.core.hints import HEADINGS, MODES, EstimateLog, MobilityEstimate
 from repro.core.similarity import batched_pair_similarity, prepare_csi_gains
 from repro.core.tof_trend import ToFTrend, ToFTrendConfig
-from repro.mobility.modes import Heading, MobilityMode
 from repro.telemetry.recorder import NULL_RECORDER, Recorder
 from repro.util.filters import MedianBatch, TimedMedianFilter
+from repro.util.ragged import ragged_offsets, split_ragged
 
 #: Classifier configuration lives in :mod:`repro.core.classifier`; imported
 #: lazily there to avoid a module cycle (classifier imports this module).
@@ -345,23 +345,40 @@ class BatchedToFTrendDetector:
     # ---------------------------------------------------------- checkpoints
 
     def state_dict(self) -> Dict[str, Any]:
-        """Everything mutable, as plain values; config is *not* included
-        (the owner reconstructs the detector from its own config record)."""
-        return {
+        """Everything mutable, as arrays; config is *not* included (the
+        owner reconstructs the detector from its own config record).
+
+        Ragged per-row state is ``offsets`` (``n + 1``) over concatenated
+        values: the time-aware filters' open batches and ``last_closed``.
+        """
+        closed = [b for row in self.last_closed for b in row]
+        state: Dict[str, Any] = {
             "median": self._median.state_dict(),
-            "timed": (
-                [f.state_dict() for f in self._timed] if self._timed is not None else None
-            ),
+            "timed": None,
             "window": self._window.state_dict(),
             "trend": self.trend.copy(),
             "n_gaps": self.n_gaps.copy(),
             "n_medians_discarded": self.n_medians_discarded.copy(),
             "n_windows_invalidated": self.n_windows_invalidated.copy(),
-            "last_closed": [
-                [(b.start_s, b.end_s, b.median, b.n_samples) for b in closed]
-                for closed in self.last_closed
-            ],
+            "last_closed": {
+                "offsets": ragged_offsets(len(row) for row in self.last_closed),
+                "start_s": np.array([b.start_s for b in closed], dtype=float),
+                "end_s": np.array([b.end_s for b in closed], dtype=float),
+                "median": np.array(
+                    [np.nan if b.median is None else b.median for b in closed], dtype=float
+                ),
+                "n_samples": np.array([b.n_samples for b in closed], dtype=np.int64),
+            },
         }
+        if self._timed is not None:
+            timed = [f.state_dict() for f in self._timed]
+            state["timed"] = {
+                "anchor": _optional_floats(t["anchor"] for t in timed),
+                "last_time": _optional_floats(t["last_time"] for t in timed),
+                "offsets": ragged_offsets(len(t["batch"]) for t in timed),
+                "values": np.array([v for t in timed for v in t["batch"]], dtype=float),
+            }
+        return state
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self._median.load_state_dict(state["median"])
@@ -369,16 +386,41 @@ class BatchedToFTrendDetector:
         if (timed_state is None) != (self._timed is None):
             raise ValueError("checkpoint time-awareness disagrees with this config")
         if self._timed is not None and timed_state is not None:
-            for f, s in zip(self._timed, timed_state):
-                f.load_state_dict(s)
+            batches = split_ragged(timed_state["offsets"], timed_state["values"], self.n)
+            for i, f in enumerate(self._timed):
+                f.load_state_dict(
+                    {
+                        "anchor": _optional_float(timed_state["anchor"][i]),
+                        "last_time": _optional_float(timed_state["last_time"][i]),
+                        "batch": batches[i].tolist(),
+                    }
+                )
         self._window.load_state_dict(state["window"])
         self.trend[...] = state["trend"]
         self.n_gaps[...] = state["n_gaps"]
         self.n_medians_discarded[...] = state["n_medians_discarded"]
         self.n_windows_invalidated[...] = state["n_windows_invalidated"]
-        self.last_closed = [
-            [MedianBatch(*fields) for fields in closed] for closed in state["last_closed"]
+        closed = state["last_closed"]
+        fields = zip(
+            closed["start_s"].tolist(),
+            closed["end_s"].tolist(),
+            closed["median"].tolist(),
+            closed["n_samples"].tolist(),
+        )
+        batches = [
+            MedianBatch(start_s, end_s, None if math.isnan(median) else median, n_samples)
+            for start_s, end_s, median, n_samples in fields
         ]
+        self.last_closed = split_ragged(closed["offsets"], batches, self.n)
+
+
+def _optional_floats(values: Iterator[Optional[float]]) -> np.ndarray:
+    """Floats with ``None`` as NaN (the filter clocks are finite when set)."""
+    return np.array([np.nan if v is None else v for v in values], dtype=float)
+
+
+def _optional_float(value: float) -> Optional[float]:
+    return None if math.isnan(value) else float(value)
 
 
 class BatchedMobilityClassifier:
@@ -396,6 +438,8 @@ class BatchedMobilityClassifier:
 
     #: Telemetry sink (bound by the owning session; shared no-op default).
     recorder: Recorder = NULL_RECORDER
+    #: Log every decision is appended to (bound by the owning session).
+    log: Optional[EstimateLog] = None
 
     def __init__(
         self,
@@ -425,9 +469,7 @@ class BatchedMobilityClassifier:
         self._last_time = np.full(n, np.nan)
         self._tof_active = np.zeros(n, dtype=bool)
         self._estimates: List[Optional[MobilityEstimate]] = [None] * n
-        self._history: Optional[List[List[MobilityEstimate]]] = (
-            [[] for _ in range(n)] if record_history else None
-        )
+        self._history: Optional[EstimateLog] = EstimateLog(n) if record_history else None
 
     # ----------------------------------------------------------- properties
 
@@ -448,7 +490,12 @@ class BatchedMobilityClassifier:
     def history_of(self, i: int) -> List[MobilityEstimate]:
         if self._history is None:
             raise ValueError("cohort built with record_history=False")
-        return list(self._history[i])
+        return list(self._history.rows()[i])
+
+    def clear_history(self) -> None:
+        """Forget the recorded decisions (no-op without ``record_history``)."""
+        if self._history is not None:
+            self._history.clear()
 
     # ---------------------------------------------------------------- inputs
 
@@ -552,6 +599,7 @@ class BatchedMobilityClassifier:
         ``config.max_csi_gap_s`` set, a client whose sampling gap exceeds
         the limit restarts its similarity stream — both exactly as in the
         scalar classifier, including the ``sensing_gap`` trace events.
+        The step's decisions are also appended to the bound :attr:`log`.
         """
         n = self.n
         results: List[Optional[MobilityEstimate]] = [None] * n
@@ -669,38 +717,29 @@ class BatchedMobilityClassifier:
             self._detector.reset_rows(starting)
         trend = self._detector.trend[clients]
         window_full = self._detector.count[clients] == cfg.tof.window_periods
+        # Codes index MODES / HEADINGS: static 0, environmental 1, micro 2,
+        # macro 3; heading none 0, towards 1, away 2 (macro only).  Only a
+        # micro decision reports the window; a macro one has it full.
+        macro = device_m & (trend != 0)
+        mode = np.where(static_m, 0, np.where(env_m, 1, np.where(macro, 3, 2))).astype(np.int8)
+        heading = np.where(macro, np.where(trend > 0, 2, 1), 0).astype(np.int8)
+        full = macro | (device_m & window_full)
+        for sink in (self._history, self.log):
+            if sink is not None:
+                sink.append(clients, time_s, mode, heading, smoothed, full)
         recorder = self.recorder
-        history = self._history
-        for j in range(len(clients)):
-            i = int(clients[j])
-            value = float(smoothed[j])
-            if static_m[j]:
-                estimate = MobilityEstimate(
-                    time_s=time_s, mode=MobilityMode.STATIC, csi_similarity=value
-                )
-            elif env_m[j]:
-                estimate = MobilityEstimate(
-                    time_s=time_s, mode=MobilityMode.ENVIRONMENTAL, csi_similarity=value
-                )
-            elif trend[j] == 0:
-                estimate = MobilityEstimate(
-                    time_s=time_s,
-                    mode=MobilityMode.MICRO,
-                    csi_similarity=value,
-                    tof_window_full=bool(window_full[j]),
-                )
-            else:
-                estimate = MobilityEstimate(
-                    time_s=time_s,
-                    mode=MobilityMode.MACRO,
-                    heading=Heading.AWAY if trend[j] > 0 else Heading.TOWARDS,
-                    csi_similarity=value,
-                    tof_window_full=True,
-                )
+        for i, m, h, value, f in zip(
+            clients.tolist(), mode.tolist(), heading.tolist(), smoothed.tolist(), full.tolist()
+        ):
+            estimate = MobilityEstimate(
+                time_s=time_s,
+                mode=MODES[m],
+                heading=HEADINGS[h],
+                csi_similarity=value,
+                tof_window_full=f,
+            )
             previous = self._estimates[i]
             self._estimates[i] = estimate
-            if history is not None:
-                history[i].append(estimate)
             results[i] = estimate
             if live:
                 client = self.client_labels[i]
@@ -744,15 +783,16 @@ class BatchedMobilityClassifier:
             "has_prev": self._has_prev.copy(),
             "last_time": self._last_time.copy(),
             "tof_active": self._tof_active.copy(),
-            "estimates": [
-                None if e is None else e.to_dict() for e in self._estimates
-            ],
-            "history": (
-                None
-                if self._history is None
-                else [[e.to_dict() for e in row] for row in self._history]
-            ),
+            "estimates": self._last_estimates().state_dict(),
+            "history": None if self._history is None else self._history.state_dict(),
         }
+
+    def _last_estimates(self) -> EstimateLog:
+        """The latest decision of each client that has one, as a log."""
+        members = [i for i, e in enumerate(self._estimates) if e is not None]
+        log = EstimateLog(self.n)
+        log.append_estimates(members, [self._estimates[i] for i in members])
+        return log
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         self._detector.load_state_dict(state["detector"])
@@ -765,19 +805,16 @@ class BatchedMobilityClassifier:
         self._has_prev[...] = state["has_prev"]
         self._last_time[...] = state["last_time"]
         self._tof_active[...] = state["tof_active"]
-        self._estimates = [
-            None if e is None else MobilityEstimate.from_dict(e)
-            for e in state["estimates"]
-        ]
+        last = EstimateLog(self.n)
+        last.load_state_dict(state["estimates"])
+        self._estimates = [row[-1] if row else None for row in last.rows()]
         history = state["history"]
         if history is not None:
             if self._history is None:
                 raise ValueError(
                     "checkpoint has history but cohort built with record_history=False"
                 )
-            self._history = [
-                [MobilityEstimate.from_dict(e) for e in row] for row in history
-            ]
+            self._history.load_state_dict(history)
 
     def reset(self, rows: Optional[np.ndarray] = None) -> None:
         """Forget everything for ``rows`` (default: the whole cohort)."""
@@ -792,5 +829,5 @@ class BatchedMobilityClassifier:
         self._detector.reset_rows(rows)
         for i in rows:
             self._estimates[int(i)] = None
-            if self._history is not None:
-                self._history[int(i)].clear()
+        if self._history is not None:
+            self._history.drop_members(rows)

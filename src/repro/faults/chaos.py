@@ -17,8 +17,8 @@ raise :class:`InjectedFault`, distinguishable from organic bugs.
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
 from typing import Any, Iterable, Iterator, NoReturn, Optional, Union
 
 from repro.sim.engine import Session, StepClock, TimeGrid
@@ -359,10 +359,10 @@ class CheckpointCorruptionFault:
 
     Models the failures a long-lived service actually meets: a torn
     write (``truncate`` keeps the leading third of the file), silent bit
-    rot (``flip_byte`` XOR-flips one byte two thirds in — inside the
-    payload region of a v2 artifact, so the sha256 digest catches it),
-    and a foreign file dropped into the checkpoint directory
-    (``wrong_format``).  The recovery scan
+    rot (``flip_byte`` XOR-flips one byte two thirds in — past the fixed
+    header of a v3 artifact, in the region its sha256 digest covers), and
+    a foreign file dropped into the checkpoint directory (``wrong_format``
+    writes a small JSON document in its place).  The recovery scan
     (:func:`repro.resilience.scan_checkpoints`) must refuse the damaged
     artifact loudly and fall back to the next-newest valid one.
     """
@@ -377,8 +377,8 @@ class CheckpointCorruptionFault:
         """Damage the artifact at ``path`` in place per :attr:`mode`."""
         name = os.fspath(path)
         if self.mode == "wrong_format":
-            payload = pickle.dumps({"format": "not.a.checkpoint", "version": 0})
-            with open(name, "wb") as handle:
+            payload = json.dumps({"format": "not.a.checkpoint", "version": 0})
+            with open(name, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         else:
             with open(name, "rb") as handle:

@@ -9,7 +9,8 @@ so that every known failure mode is handled, counted, and bit-reproducible:
   :class:`repro.stream.HorizonExhausted` signal is absorbed mid-advance
   by an in-memory checkpoint/restore into the next grid segment;
   estimates continue bit-identically with a single long-grid run;
-* **supervised checkpointing** — :class:`CheckpointManager` writes
+* **supervised checkpointing** — :class:`CheckpointManager` (defined
+  with the artifact format in :mod:`repro.stream.checkpoint`) writes
   sha256-stamped artifacts on a deterministic sim-time cadence with
   keep-last-K retention; :func:`scan_checkpoints` /
   :meth:`ResilientService.recover` resume from the newest *valid* one,
@@ -25,16 +26,16 @@ campaign: ``python -m repro.experiments resilience``.  See the
 "Self-healing runtime" section of ``docs/architecture.md``.
 """
 
-from repro.resilience.checkpoints import (
+from repro.resilience.config import ResilienceConfig
+from repro.resilience.service import ResilientService
+from repro.resilience.sources import SourceSpec, SupervisedSource
+from repro.stream.checkpoint import (
     ARTIFACT_SUFFIX,
     CheckpointManager,
     artifact_name,
     list_artifacts,
     scan_checkpoints,
 )
-from repro.resilience.config import ResilienceConfig
-from repro.resilience.service import ResilientService
-from repro.resilience.sources import SourceSpec, SupervisedSource
 
 __all__ = [
     "ARTIFACT_SUFFIX",

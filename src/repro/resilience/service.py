@@ -7,9 +7,10 @@ mode of a long-running deployment is a non-event:
   :class:`repro.sim.TimeGrid` segment; when the router raises
   :class:`repro.stream.HorizonExhausted` mid-advance, the service
   checkpoints in memory, shifts the segment start by exactly one horizon,
-  pins the router's late-floor at the old segment's end, and restores —
-  estimates continue **bit-identically** with a single long-grid run
-  (pinned by ``tests/test_resilience.py``);
+  pins the router's late-floor at the old segment's end, and restores
+  with an empty estimate history — estimates continue
+  **bit-identically** with a single long-grid run (pinned by
+  ``tests/test_resilience.py``);
 * **supervised checkpointing** — a deterministic *sim-time* cadence
   (:class:`repro.resilience.CheckpointManager`) writes
   sha256-integrity-stamped artifacts with keep-last-K retention, and
@@ -36,11 +37,15 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.batched import BatchedMobilityClassifier
 from repro.core.hints import safe_default_hint
-from repro.resilience.checkpoints import CheckpointManager, scan_checkpoints
 from repro.resilience.config import ResilienceConfig
 from repro.resilience.sources import SourceSpec, SupervisedSource
 from repro.sim.supervisor import SupervisorConfig
-from repro.stream.checkpoint import checkpoint_state, restore_router
+from repro.stream.checkpoint import (
+    CheckpointManager,
+    checkpoint_state,
+    restore_router,
+    scan_checkpoints,
+)
 from repro.stream.observations import Observation
 from repro.stream.router import HorizonExhausted, StreamConfig, StreamRouter
 from repro.telemetry.recorder import NULL_RECORDER, Recorder, shield
@@ -60,9 +65,11 @@ class ResilientService:
 
     Estimates delivered since *this process* started accumulate in
     :attr:`estimates` (per-client, in delivery order) and are forwarded
-    to ``on_estimate`` — checkpoints deliberately exclude delivered
-    history, so a recovered process continues the stream rather than
-    replaying it.
+    to ``on_estimate``.  A checkpoint carries only the current grid
+    segment's estimate log (what :meth:`results` returns); a rollover
+    starts the next segment with an empty one, so an artifact's size
+    does not grow with uptime, and a recovered process continues the
+    stream rather than replaying it.
     """
 
     def __init__(
@@ -319,7 +326,9 @@ class ResilientService:
         new grid's sample instants coincide with a single long grid's),
         reset the step position, and pin the late-floor at the old
         segment's end so pre-rollover timestamps are still refused as
-        late.  Restore binds the same recorder and estimate sink.
+        late.  Restore binds the same recorder and estimate sink.  The
+        new segment starts with an empty estimate history: what the old
+        one delivered lives on in :attr:`estimates`.
         """
         router = self.router
         old_end_s = float(router.engine.grid.end_s)
@@ -338,6 +347,7 @@ class ResilientService:
         self.router = restore_router(
             state, recorder=self.recorder, on_estimate=self._collect
         )
+        self.router.session.clear_history()
         self.rollovers += 1
         if self.recorder.enabled:
             self.recorder.count("resilience.rollovers")

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, 
 
 import numpy as np
 
-from repro.core.hints import safe_default_hint
+from repro.core.hints import EstimateLog, safe_default_hint
 from repro.sim.engine import Session, SessionError, StepClock, TimeGrid
 from repro.telemetry.recorder import Recorder
 
@@ -34,7 +34,10 @@ class BatchedSensingSession(Session):
     per step for the whole cohort, while each member keeps its own state
     inside the batched arrays.  Estimates are collected per member in
     arrival order — exactly the stream a serving AP would emit as
-    mobility hints.  A single link is a one-member cohort: name the
+    mobility hints — in one columnar :class:`repro.core.hints.EstimateLog`;
+    rows restored from a checkpoint become objects again only when
+    :attr:`estimates_by_client` or :meth:`finish` reads them.  A single
+    link is a one-member cohort: name the
     cohort ``client`` after its member, and run results, failure records
     and telemetry all carry that one label.  Per-member results do not
     depend on the cohort a member runs in — property-tested in
@@ -129,7 +132,8 @@ class BatchedSensingSession(Session):
         self._pending_mask: set = set()
         self._pending_errors: List[SessionError] = []
         self._failures: Dict[str, "FailureRecord"] = {}
-        self.estimates_by_client: List[List[Any]] = [[] for _ in range(n)]
+        self._history = EstimateLog(n)
+        classifier.log = self._history
         self._dense_csi: Optional[np.ndarray] = None
         self._missing: Optional[np.ndarray] = None
 
@@ -138,6 +142,17 @@ class BatchedSensingSession(Session):
     @property
     def clients(self) -> Tuple[str, ...]:
         return tuple(self._labels)
+
+    @property
+    def estimates_by_client(self) -> List[List[Any]]:
+        """Each member's estimates so far, in arrival order."""
+        return self._history.rows()
+
+    def clear_history(self) -> None:
+        """Forget the collected estimates (the classifier's own history
+        too); the run state that decides future estimates is untouched."""
+        self._history.clear()
+        self.classifier.clear_history()
 
     @property
     def n_active_clients(self) -> int:
@@ -287,15 +302,21 @@ class BatchedSensingSession(Session):
                 self.recorder.count("sensing.csi_missing", client=self._labels[i])
         push_mask = mask & ~missing
         if np.any(push_mask):
+            start = self._history.size
             results = self.classifier.push_csi(
                 clock.start_s, self._dense_csi[clock.index], mask=push_mask
             )
-            for i, estimate in enumerate(results):
-                if estimate is not None:
-                    self.estimates_by_client[i].append(estimate)
-                    if self._on_estimate is not None:
-                        self._on_estimate(self._labels[i], clock.start_s, estimate)
+            self._deliver(clock.start_s, results, start)
         self._raise_failures(errors)
+
+    def _deliver(self, time_s: float, results: List[Any], start: int) -> None:
+        """Keep a step's estimates as the built form of the log rows it
+        appended from ``start`` on, and hand them to the consumer."""
+        delivered = [(i, e) for i, e in enumerate(results) if e is not None]
+        self._history.keep(start, delivered)
+        if self._on_estimate is not None:
+            for i, estimate in delivered:
+                self._on_estimate(self._labels[i], time_s, estimate)
 
     def adapt(self, clock: StepClock) -> None:
         self._raise_failures(self._due_failures("adapt", clock))
@@ -306,10 +327,11 @@ class BatchedSensingSession(Session):
     def finish(self) -> Dict[str, Any]:
         """Per-member results: the estimate stream, or the member's
         :class:`repro.sim.FailureRecord` if it was quarantined."""
+        rows = self.estimates_by_client
         results: Dict[str, Any] = {}
         for i, label in enumerate(self._labels):
             record = self._failures.get(label)
-            results[label] = record if record is not None else self.estimates_by_client[i]
+            results[label] = record if record is not None else rows[i]
         return results
 
     # ---------------------------------------------------------- checkpoints
@@ -324,42 +346,27 @@ class BatchedSensingSession(Session):
         ToF streams) are construction arguments, not state — the caller
         re-supplies them.
         """
-        from repro.core.hints import MobilityEstimate
-
-        def _encode(value: Any) -> Any:
-            return value.to_dict() if isinstance(value, MobilityEstimate) else value
-
         return {
             "classifier": self.classifier.state_dict(),
             "tof_cursor": self._tof_cursor.copy(),
             "masked": self._masked.copy(),
             "pending_mask": sorted(self._pending_mask),
             "failures": {label: r.to_dict() for label, r in self._failures.items()},
-            "estimates_by_client": [
-                [_encode(e) for e in row] for row in self.estimates_by_client
-            ],
+            "history": self._history.state_dict(),
         }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        from repro.core.hints import MobilityEstimate
         from repro.sim.supervisor import FailureRecord
-
-        def _decode(value: Any) -> Any:
-            return (
-                MobilityEstimate.from_dict(value) if isinstance(value, dict) else value
-            )
 
         self.classifier.load_state_dict(state["classifier"])
         self._tof_cursor[...] = state["tof_cursor"]
         self._masked[...] = state["masked"]
-        self._pending_mask = set(state["pending_mask"])
+        self._pending_mask = set(int(i) for i in state["pending_mask"])
         self._failures = {
             label: FailureRecord(**record)
             for label, record in state["failures"].items()
         }
-        self.estimates_by_client = [
-            [_decode(e) for e in row] for row in state["estimates_by_client"]
-        ]
+        self._history.load_state_dict(state["history"])
 
     # ---------------------------------------------------------- supervision
 

@@ -14,14 +14,17 @@ reading, ``classify`` consumes at most *one* due CSI snapshot per step
 Every queue of a router shares one :class:`BacklogCount` and keeps it
 current on each push, pop, drop, clear and restore, so the router's
 total backlog is one attribute read rather than a sum over the fleet.
+:func:`queues_state` checkpoints a whole fleet of queues as flat arrays.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.util.ragged import checked_offsets, ragged_offsets
 
 
 class BacklogCount:
@@ -104,13 +107,49 @@ class SessionQueue:
         self.csi.clear()
 
     def state_dict(self) -> Dict[str, Any]:
-        return {
-            "tof": list(self.tof),
-            "csi": [(t, np.asarray(m)) for t, m in self.csi],
-        }
+        return queues_state([self])
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        self._backlog.value -= len(self)
-        self.tof = deque((float(t), float(v)) for t, v in state["tof"])
-        self.csi = deque((float(t), m) for t, m in state["csi"])
-        self._backlog.value += len(self)
+        load_queues_state([self], state)
+
+
+def queues_state(queues: Sequence[SessionQueue]) -> Dict[str, Any]:
+    """The contents of many queues as flat arrays.
+
+    Each lane is ragged per queue (``*_offsets`` over concatenated
+    entries).  CSI payloads sharing one shape and dtype — the normal case
+    — stack into one array; otherwise they stay a list of arrays.
+    """
+    tof = [entry for queue in queues for entry in queue.tof]
+    csi = [entry for queue in queues for entry in queue.csi]
+    payloads = [np.asarray(matrix) for _, matrix in csi]
+    uniform = all(
+        p.shape == payloads[0].shape and p.dtype == payloads[0].dtype for p in payloads
+    )
+    return {
+        "tof_offsets": ragged_offsets(len(queue.tof) for queue in queues),
+        "tof_time_s": np.array([t for t, _ in tof], dtype=float),
+        "tof_cycles": np.array([v for _, v in tof], dtype=float),
+        "csi_offsets": ragged_offsets(len(queue.csi) for queue in queues),
+        "csi_time_s": np.array([t for t, _ in csi], dtype=float),
+        "csi": np.stack(payloads) if payloads and uniform else payloads,
+    }
+
+
+def load_queues_state(queues: Sequence[SessionQueue], state: Dict[str, Any]) -> None:
+    """Refill ``queues`` from a :func:`queues_state` snapshot."""
+    tof_time_s = state["tof_time_s"].tolist()
+    tof_cycles = state["tof_cycles"].tolist()
+    csi_time_s = state["csi_time_s"].tolist()
+    payloads = state["csi"]
+    if len(tof_cycles) != len(tof_time_s) or len(payloads) != len(csi_time_s):
+        raise ValueError("queue checkpoint lanes disagree in length")
+    tof_bounds = checked_offsets(state["tof_offsets"], len(queues), len(tof_time_s))
+    csi_bounds = checked_offsets(state["csi_offsets"], len(queues), len(csi_time_s))
+    for i, queue in enumerate(queues):
+        queue._backlog.value -= len(queue)
+        a, b = tof_bounds[i], tof_bounds[i + 1]
+        queue.tof = deque(zip(tof_time_s[a:b], tof_cycles[a:b]))
+        a, b = csi_bounds[i], csi_bounds[i + 1]
+        queue.csi = deque(zip(csi_time_s[a:b], [payloads[k] for k in range(a, b)]))
+        queue._backlog.value += len(queue)

@@ -67,7 +67,7 @@ from repro.sim.engine import EngineStepper, SimulationEngine, StepClock, TimeGri
 from repro.sim.sessions import BatchedSensingSession
 from repro.sim.supervisor import SupervisorConfig
 from repro.stream.observations import Observation
-from repro.stream.queues import BacklogCount, SessionQueue
+from repro.stream.queues import BacklogCount, SessionQueue, load_queues_state, queues_state
 from repro.telemetry.recorder import NULL_RECORDER, Recorder, shield
 
 #: What a full session queue does to the offered observation.
@@ -205,12 +205,9 @@ class StreamingSensingSession(BatchedSensingSession):
             if samples[i] is None and self.recorder.enabled and not self.stream_inactive[i]:
                 self.recorder.count("sensing.csi_missing", client=self._labels[i])
         if any(sample is not None for sample in samples):
+            start = self._history.size
             results = self.classifier.push_csi(clock.start_s, samples, mask=mask)
-            for i, estimate in enumerate(results):
-                if estimate is not None:
-                    self.estimates_by_client[i].append(estimate)
-                    if self._on_estimate is not None:
-                        self._on_estimate(self._labels[i], clock.start_s, estimate)
+            self._deliver(clock.start_s, results, start)
         self._raise_failures(errors)
 
     # ----------------------------------------------------- eviction support
@@ -479,7 +476,7 @@ class StreamRouter:
             "labels": list(self.labels),
             "next_index": self.stepper.next_index,
             "late_floor_s": self.late_floor_s,
-            "queues": [queue.state_dict() for queue in self.queues],
+            "queues": queues_state(self.queues),
             "last_activity": self.last_activity.copy(),
             "evicted": self.evicted.copy(),
             "shed": self.shed.copy(),
@@ -490,11 +487,10 @@ class StreamRouter:
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         if list(state["labels"]) != self.labels:
             raise ValueError("checkpoint cohort labels disagree with this router")
-        # v1 artifacts predate the rollover floor; absent means "fresh".
+        # Absent means a fresh service (no rollover floor).
         floor = state.get("late_floor_s")
         self.late_floor_s = None if floor is None else float(floor)
-        for queue, queue_state in zip(self.queues, state["queues"]):
-            queue.load_state_dict(queue_state)
+        load_queues_state(self.queues, state["queues"])
         self.last_activity[...] = state["last_activity"]
         self.evicted[...] = state["evicted"]
         self.shed[...] = state["shed"]

@@ -65,7 +65,7 @@ class TestRuleGoldens:
     @pytest.mark.parametrize(
         "fixture",
         ["rep001_rng.py", "rep002_wall_clock.py", "rep003_telemetry.py",
-         "rep004_swallowed.py", "rep005_units.py"],
+         "rep004_swallowed.py", "rep005_units.py", "rep006_pickle.py"],
     )
     def test_fixture_matches_expectations(self, fixture):
         path = FIXTURES / fixture
@@ -250,11 +250,22 @@ class TestRatchet:
 class TestRuleMetadata:
     def test_catalog_is_complete_and_documented(self):
         assert [rule.code for rule in ALL_RULES] == [
-            "REP001", "REP002", "REP003", "REP004", "REP005",
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
         ]
         for rule in ALL_RULES:
             assert rule.title and rule.rationale
             assert rule.contexts
+
+    def test_pickle_rule_flags_library_code_only(self):
+        rule = [RULES_BY_CODE["REP006"]]
+        flagged = "import pickle\n\n\ndef load(f):\n    return pickle.load(f)\n"
+        clean = "import json\n\n\ndef load(f):\n    return json.load(f)\n"
+        assert [d.code for d in check_source(flagged, "x.py", context="src", rules=rule)] == [
+            "REP006"
+        ]
+        assert check_source(clean, "x.py", context="src", rules=rule) == []
+        # Tests build pickle files to check the reader refuses them.
+        assert check_source(flagged, "x.py", context="tests", rules=rule) == []
 
     def test_wall_clock_rule_spares_tests(self):
         assert "tests" not in WallClockRule.contexts

@@ -16,6 +16,7 @@ Pins the three resilience contracts end to end:
   safe-default degraded hints.
 """
 
+import json
 import os
 
 import pytest
@@ -47,6 +48,8 @@ from repro.stream import (
     SimulatedSource,
     StreamConfig,
     StreamRouter,
+    read_checkpoint_state,
+    save_checkpoint,
     tof_observation,
 )
 from repro.telemetry.recorder import TelemetryRecorder
@@ -198,6 +201,43 @@ class TestRolloverGolden:
         del state["late_floor_s"]
         other.load_state_dict(state)
         assert other.late_floor_s is None
+
+
+class TestRolloverHistory:
+    """A rollover starts the next segment with an empty estimate history:
+    ``results()`` is the current segment only, and artifacts stop growing
+    with uptime (delivered estimates live on in ``service.estimates``)."""
+
+    def test_results_hold_only_the_current_segment(self, tmp_path):
+        service = make_service(tmp_path, horizon_steps=7)
+        seen_rollovers = set()
+        for observation in fresh_source():
+            service.offer(observation)
+            service.advance(observation.time_s - DT_S)
+            start_s = service.router.config.start_s
+            for stream in service.results().values():
+                assert all(start_s <= e.time_s < service.clock_s for e in stream)
+            seen_rollovers.add(service.rollovers)
+        assert {1, 2, 3} <= seen_rollovers
+        current = sum(len(stream) for stream in service.results().values())
+        delivered = sum(len(stream) for stream in service.estimates.values())
+        assert 0 < current <= 7 * len(LABELS) < delivered
+
+    def test_artifact_size_does_not_grow_across_segments(self, tmp_path):
+        """Same in-segment offset, segments 1 and 3: same size within 5%."""
+        horizon_steps = 7
+        segment_s = horizon_steps * DT_S
+        offset_s = 2.0
+        service = make_service(tmp_path, horizon_steps=horizon_steps, every_s=100.0)
+        sizes = {}
+        for observation in fresh_source():
+            service.offer(observation)
+            service.advance(observation.time_s - DT_S)
+            for segment in (1, 3):
+                if segment not in sizes and service.clock_s >= segment * segment_s + offset_s:
+                    assert service.rollovers == segment
+                    sizes[segment] = os.path.getsize(service.checkpoint_now())
+        assert sizes[3] == pytest.approx(sizes[1], rel=0.05)
 
 
 class TestCheckpointManager:
@@ -535,6 +575,28 @@ class TestChaosInjectors:
                 from repro.stream import load_checkpoint
 
                 load_checkpoint(path)
+
+    def test_corruption_fault_damages_the_digest_covered_region(self, tmp_path):
+        """``flip_byte`` lands past the fixed header, where the sha256
+        covers it; ``wrong_format`` writes foreign bytes, not a pickle."""
+        from repro.stream.checkpoint import FIXED_HEADER_BYTES
+
+        router = StreamRouter(
+            BatchedMobilityClassifier(["a"]),
+            config=StreamConfig(dt_s=0.5, horizon_steps=10),
+        )
+        path = tmp_path / "flip.ckpt"
+        save_checkpoint(router, str(path))
+        assert (path.stat().st_size * 2) // 3 >= FIXED_HEADER_BYTES
+        CheckpointCorruptionFault(mode="flip_byte").corrupt(str(path))
+        with pytest.raises(CorruptCheckpoint, match="integrity"):
+            read_checkpoint_state(str(path))
+        foreign = tmp_path / "foreign.ckpt"
+        save_checkpoint(router, str(foreign))
+        CheckpointCorruptionFault(mode="wrong_format").corrupt(str(foreign))
+        assert json.loads(foreign.read_text(encoding="utf-8"))["format"] == "not.a.checkpoint"
+        with pytest.raises(CorruptCheckpoint, match="not a repro.stream.checkpoint"):
+            read_checkpoint_state(str(foreign))
 
     def test_corruption_fault_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):

@@ -1,17 +1,26 @@
 """Checkpoint/resume of the streaming service: kill it, restore it, and
 the estimates must be bit-identical to the run that never died.
 
-Covers the happy path, the versioned-artifact guards, and the two nasty
+Covers the happy path, the versioned-artifact guards, hostile and
+damaged bytes (nothing in them may run; every failure is a refusal), and
+the two nasty
 resume shapes the supervision machinery creates: a checkpoint holding a
 *quarantined* member (must stay quarantined, record intact) and one
 holding a *suspended* member with a queue backlog (must resume and drain
 the backlog exactly like the uninterrupted service).
 """
 
+import hashlib
+import json
 import pickle
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.batched import BatchedMobilityClassifier
 from repro.faults import SessionCrashFault
@@ -31,6 +40,7 @@ from repro.stream import (
     save_checkpoint,
     tof_observation,
 )
+from repro.stream.checkpoint import CHECKPOINT_MAGIC, FIXED_HEADER_BYTES
 from repro.telemetry.recorder import TelemetryRecorder
 
 SPEC = FleetSpec(n_clients=8, duration_s=20.0)
@@ -76,6 +86,31 @@ def run_stream(
         router.advance(observation.time_s - CONFIG.dt_s)
     router.advance(END_S)
     return router
+
+
+def split_artifact(data):
+    """A v3 artifact's JSON header (parsed) and its buffer bytes."""
+    (header_len,) = struct.unpack_from("<Q", data, 12)
+    start = FIXED_HEADER_BYTES + header_len
+    return json.loads(data[FIXED_HEADER_BYTES:start]), data[start:]
+
+
+def pack_artifact(header, body):
+    """Re-pack a (possibly lying) header over ``body`` with a matching
+    digest, as a forger could."""
+    text = json.dumps(header).encode()
+    text += b" " * (-(FIXED_HEADER_BYTES + len(text)) % 16)
+    rest = text + body
+    return (
+        struct.pack(
+            "<8sIQ32s",
+            CHECKPOINT_MAGIC,
+            CHECKPOINT_VERSION,
+            len(text),
+            hashlib.sha256(rest).digest(),
+        )
+        + rest
+    )
 
 
 def results_equal(a, b):
@@ -168,28 +203,37 @@ class TestArtifactGuards:
             other.load_state_dict(state["router"])
 
     def test_artifact_is_a_digested_envelope_over_a_plain_dict(self, tmp_path):
-        """Since v2 the on-disk artifact is a sha256-stamped envelope whose
-        payload bytes unpickle to the plain versioned config/state dict."""
+        """Since v3 the on-disk artifact is a fixed header (magic, version,
+        JSON header length, sha256 of the rest) over a JSON header that
+        holds the plain versioned config/state tree and a buffer table."""
         import hashlib
+        import json
+        import struct
 
         router = make_router()
         path = tmp_path / "svc.ckpt"
         save_checkpoint(router, path)
-        with open(path, "rb") as handle:
-            raw = pickle.load(handle)
-        assert raw["format"] == CHECKPOINT_FORMAT
-        assert raw["version"] == CHECKPOINT_VERSION
-        assert isinstance(raw["payload"], bytes)
-        assert raw["sha256"] == hashlib.sha256(raw["payload"]).hexdigest()
-        state = pickle.loads(raw["payload"])
+        data = path.read_bytes()
+        magic, version, header_len, digest = struct.unpack_from("<8sIQ32s", data)
+        assert magic == CHECKPOINT_MAGIC
+        assert version == CHECKPOINT_VERSION
+        assert FIXED_HEADER_BYTES == struct.calcsize("<8sIQ32s")
+        assert digest == hashlib.sha256(data[FIXED_HEADER_BYTES:]).digest()
+        header = json.loads(data[FIXED_HEADER_BYTES : FIXED_HEADER_BYTES + header_len])
+        state = header["state"]
         assert state["format"] == CHECKPOINT_FORMAT
         assert state["version"] == CHECKPOINT_VERSION
         assert isinstance(state["stream_config"], dict)
         assert isinstance(state["classifier_config"], dict)
         assert isinstance(state["supervisor_config"], dict)
+        assert state["router"]["labels"] == router.labels
         from repro import __version__
 
         assert state["repro_version"] == __version__
+        for entry in header["buffers"]:
+            assert set(entry) == {"name", "dtype", "shape", "offset"}
+            assert entry["offset"] % 16 == 0
+            assert entry["dtype"][1] in "biufc"
 
     def test_restored_config_matches(self, tmp_path):
         router = make_router()
@@ -230,17 +274,16 @@ class TestCorruptArtifacts:
     def test_wrong_format_is_a_distinct_refusal(self, tmp_path):
         path = tmp_path / "svc.ckpt"
         path.write_bytes(
-            pickle.dumps({"format": "not.a.checkpoint", "version": 0, "payload": b""})
+            json.dumps({"format": "not.a.checkpoint", "version": 0}).encode()
         )
         with pytest.raises(ValueError, match="not a repro.stream.checkpoint"):
             load_checkpoint(path)
 
     def test_future_version_is_a_distinct_refusal(self, tmp_path):
         path = self.saved(tmp_path)
-        with open(path, "rb") as handle:
-            raw = pickle.load(handle)
-        raw["version"] = CHECKPOINT_VERSION + 1
-        path.write_bytes(pickle.dumps(raw))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 8, CHECKPOINT_VERSION + 1)
+        path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="newer"):
             load_checkpoint(path)
 
@@ -251,59 +294,175 @@ class TestCorruptArtifacts:
             load_checkpoint(path)
 
     def test_non_dict_pickle_is_refused(self, tmp_path):
+        """Any pickle stream is refused as a v1/v2 artifact, unread."""
         path = tmp_path / "svc.ckpt"
         path.write_bytes(pickle.dumps([1, 2, 3]))
-        with pytest.raises(CorruptCheckpoint, match="artifact dict"):
+        with pytest.raises(ValueError, match="pickle") as excinfo:
             load_checkpoint(path)
+        assert not isinstance(excinfo.value, CorruptCheckpoint)
 
     def test_missing_payload_bytes_are_refused(self, tmp_path):
-        path = tmp_path / "svc.ckpt"
-        path.write_bytes(
-            pickle.dumps(
-                {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-                 "sha256": "0" * 64, "payload": "not-bytes"}
-            )
-        )
-        with pytest.raises(CorruptCheckpoint, match="payload bytes"):
+        """A buffer table pointing past the data is refused even when the
+        digest was recomputed to match (the digest is not a signature)."""
+        path = self.saved(tmp_path)
+        header, body = split_artifact(path.read_bytes())
+        header["buffers"][0]["offset"] = len(body) + 16
+        path.write_bytes(pack_artifact(header, body))
+        with pytest.raises(CorruptCheckpoint, match="past the end"):
             load_checkpoint(path)
 
     def test_distinct_messages_per_corruption_mode(self, tmp_path):
         """Operators must be able to tell failure modes apart."""
+
+        def lying_dtype(p):
+            header, body = split_artifact(self.saved(tmp_path).read_bytes())
+            header["buffers"][0]["dtype"] = "O"
+            p.write_bytes(pack_artifact(header, body))
+
+        def rotten(p):
+            data = bytearray(self.saved(tmp_path).read_bytes())
+            data[-1] ^= 0xFF
+            p.write_bytes(bytes(data))
+
         messages = set()
         for builder in (
-            lambda p: p.write_bytes(b"\x80"),  # truncated pickle stream
-            lambda p: p.write_bytes(pickle.dumps(7)),  # not a dict
-            lambda p: p.write_bytes(
-                pickle.dumps(
-                    {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
-                     "sha256": "0" * 64, "payload": b"rotten"}
-                )
-            ),  # digest mismatch
+            lambda p: p.write_bytes(CHECKPOINT_MAGIC),  # truncated fixed header
+            rotten,  # digest mismatch
+            lying_dtype,  # valid digest, object dtype
         ):
-            path = tmp_path / "svc.ckpt"
+            path = tmp_path / "bad.ckpt"
             builder(path)
             with pytest.raises(CorruptCheckpoint) as excinfo:
                 load_checkpoint(path)
             messages.add(str(excinfo.value).split("artifact")[-1])
         assert len(messages) == 3
 
-    def test_v1_flat_artifact_still_loads(self, tmp_path):
-        """Digest-less version-1 artifacts (flat payload dict) remain
-        loadable for one deprecation cycle."""
+    def test_v1_flat_artifact_is_refused_unread(self, tmp_path):
+        """A version-1 artifact (a flat pickled state dict) is refused
+        with a plain ValueError naming the pickle format."""
         router = make_router()
         router.advance(5.2)
         state = checkpoint_state(router)
         state["version"] = 1
         path = tmp_path / "v1.ckpt"
         path.write_bytes(pickle.dumps(state))
-        restored = load_checkpoint(path)
-        assert restored.stepper.next_index == router.stepper.next_index
-        assert restored.clock_s == router.clock_s
+        with pytest.raises(ValueError, match="pickle") as excinfo:
+            load_checkpoint(path)
+        assert not isinstance(excinfo.value, CorruptCheckpoint)
 
     def test_atomic_write_leaves_no_temp_file(self, tmp_path):
         path = self.saved(tmp_path)
         assert path.exists()
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+class _TouchOnUnpickle:
+    """Unpickling this creates a file: a stand-in for a hostile payload."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+
+    def __reduce__(self):
+        return (Path.touch, (self.path,))
+
+
+class TestUntrustedBytes:
+    """Bytes read from disk are untrusted input: nothing in them may run,
+    and every way they can be wrong ends in a refusal."""
+
+    def hostile_v2_artifact(self, path, sentinel):
+        path.write_bytes(
+            pickle.dumps(
+                {
+                    "format": CHECKPOINT_FORMAT,
+                    "version": 2,
+                    "sha256": "0" * 64,
+                    "payload": b"",
+                    "hook": _TouchOnUnpickle(sentinel),
+                }
+            )
+        )
+
+    def test_pickle_artifact_is_refused_without_running_it(self, tmp_path):
+        sentinel = tmp_path / "pwned"
+        path = tmp_path / "svc.ckpt"
+        self.hostile_v2_artifact(path, sentinel)
+        with pytest.raises(ValueError, match="pickle"):
+            load_checkpoint(path)
+        assert not sentinel.exists()
+
+    def test_recovery_refuses_a_pickle_artifact_without_running_it(self, tmp_path):
+        from repro.resilience import ResilienceConfig, ResilientService, artifact_name
+
+        sentinel = tmp_path / "pwned"
+        directory = tmp_path / "ckpt"
+        directory.mkdir()
+        self.hostile_v2_artifact(directory / artifact_name(4.0), sentinel)
+        with pytest.raises(CorruptCheckpoint, match="pickle"):
+            ResilientService.recover(ResilienceConfig(checkpoint_dir=str(directory)))
+        assert not sentinel.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_damaged_bytes_only_ever_raise_checkpoint_errors(self, data):
+        original = _fuzz_base()
+        damage = data.draw(
+            st.sampled_from(
+                ["flip", "truncate", "append", "offset", "shape", "dtype", "header_len"]
+            )
+        )
+        if damage == "flip":
+            index = data.draw(st.integers(0, len(original) - 1))
+            mask = data.draw(st.integers(1, 255))
+            damaged = bytearray(original)
+            damaged[index] ^= mask
+            damaged = bytes(damaged)
+        elif damage == "truncate":
+            damaged = original[: data.draw(st.integers(0, len(original) - 1))]
+        elif damage == "append":
+            damaged = original + data.draw(st.binary(min_size=1, max_size=64))
+        elif damage == "header_len":
+            damaged = bytearray(original)
+            (header_len,) = struct.unpack_from("<Q", damaged, 12)
+            lie = data.draw(st.integers(0, 2**64 - 1).filter(lambda n: n != header_len))
+            struct.pack_into("<Q", damaged, 12, lie)
+            damaged = bytes(damaged)
+        else:
+            header, body = split_artifact(original)
+            entry = data.draw(st.sampled_from(header["buffers"]))
+            if damage == "offset":
+                entry["offset"] = len(body) + data.draw(st.integers(1, 2**40))
+            elif damage == "shape":
+                entry["shape"] = [data.draw(st.integers(-(2**40), -1))] + entry["shape"][1:]
+            else:
+                entry["dtype"] = data.draw(st.sampled_from(["O", "|O", "<U4", "|V8", "<M8"]))
+            damaged = pack_artifact(header, body)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "svc.ckpt"
+            path.write_bytes(damaged)
+            try:
+                load_checkpoint(path)
+            except (CorruptCheckpoint, ValueError):
+                return
+        pytest.fail(f"{damage} damage loaded without complaint")
+
+
+_FUZZ_BASE = []
+
+
+def _fuzz_base():
+    """A small artifact with history, queued observations and a shed flag."""
+    if not _FUZZ_BASE:
+        router = make_router()
+        observations = list(fresh_source())
+        for observation in observations[: len(observations) // 3]:
+            router.offer(observation)
+            router.advance(observation.time_s - CONFIG.dt_s)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "svc.ckpt"
+            save_checkpoint(router, path)
+            _FUZZ_BASE.append(path.read_bytes())
+    return _FUZZ_BASE[0]
 
 
 class TestSupervisedResume:
@@ -388,6 +547,31 @@ class TestSupervisedResume:
             tmp_path=tmp_path,
         ).results()
         assert results_equal(baseline, resumed)
+
+
+class TestTimeAwareResume:
+    """The time-aware ToF filters (open batches, last closed periods) and a
+    recorded classifier history round-trip through the columnar artifact."""
+
+    def test_time_aware_resume_is_bit_identical(self, tmp_path):
+        from repro.core.classifier import ClassifierConfig
+        from repro.core.tof_trend import ToFTrendConfig
+
+        config = ClassifierConfig(tof=ToFTrendConfig(time_aware=True), max_csi_gap_s=1.2)
+
+        def router():
+            classifier = BatchedMobilityClassifier(
+                fresh_source().labels, config, record_history=True
+            )
+            return StreamRouter(classifier, config=CONFIG)
+
+        baseline = run_stream(router(), fresh_source())
+        resumed = run_stream(router(), fresh_source(), cut_s=9.1, tmp_path=tmp_path)
+        assert results_equal(baseline.results(), resumed.results())
+        for i in range(len(baseline.labels)):
+            assert [e.to_dict() for e in baseline.classifier.history_of(i)] == [
+                e.to_dict() for e in resumed.classifier.history_of(i)
+            ]
 
 
 class TestTelemetryAcrossResume:
