@@ -1,9 +1,10 @@
 """Arrays-of-clients backend for the Fig. 5 classifier.
 
-The scalar :class:`repro.core.MobilityClassifier` models one client as one
-Python object; serving N clients therefore costs N object graphs and N
-interpreter round-trips per step, so per-client cost *rises* with N.  This
-module restructures the same state machine as arrays over a client axis:
+Serving N clients with N independent per-client classifiers costs N
+object graphs and N interpreter round-trips per step, so per-client cost
+*rises* with N.  This module holds the Fig. 5 state machine as arrays over
+a client axis instead (the scalar :class:`repro.core.MobilityClassifier`
+is an N=1 view over it):
 
 * :class:`BatchedMedianFilter` — the count-based ToF median filter as an
   ``(N, batch_size)`` buffer with per-client fill counts;

@@ -2,7 +2,7 @@
 
 One :class:`SimulationEngine` owns the time grid and drives pluggable
 per-client :class:`Session` components; the protocol entry points in
-``repro.wlan`` (stack, scheduler, uplink), ``repro.roaming`` and
+``repro.wlan`` (stack, scheduler), ``repro.roaming`` and
 ``repro.rate`` are thin configurations of this loop.  Multi-client runs
 evaluate their channels through the batched
 :class:`repro.channel.model.MultiLinkChannel` path.

@@ -4,9 +4,9 @@ Every protocol study in this repository has the same shape: an outer
 *decision* loop that walks a uniform time grid (channel sampling cadence)
 and, per step, feeds observables to a classifier, lets a control policy
 react, and transmits frames inside the step window.  Historically each of
-``wlan/stack.py``, ``wlan/scheduler.py``, ``wlan/uplink.py`` and
-``roaming/simulator.py`` hand-rolled that loop; this module owns it once,
-and a run is always sessions added to an engine.
+``wlan/stack.py``, ``wlan/scheduler.py`` and ``roaming/simulator.py``
+hand-rolled that loop; this module owns it once, and a run is always
+sessions added to an engine.
 
 * :class:`TimeGrid` — the shared uniform grid plus alignment helpers
   (e.g. mapping ``csi_sampling_period_s`` onto a grid stride);

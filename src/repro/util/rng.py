@@ -32,10 +32,12 @@ def child_rng(rng: np.random.Generator) -> np.random.Generator:
 
 
 def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``.
+    """Derive ``count`` independent generators from ``seed``.
 
-    Uses the SeedSequence spawning protocol so that children never overlap
-    regardless of how many draws each one makes.
+    Draws ``count`` 63-bit integer seeds from the parent generator and
+    seeds one fresh generator with each (not the SeedSequence spawning
+    protocol).  Distinct seeds give practically independent streams; every
+    seeded golden depends on this exact derivation, so it must not change.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

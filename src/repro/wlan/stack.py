@@ -11,7 +11,9 @@ cadence is owned by :class:`repro.sim.SimulationEngine`; this module only
 provides :class:`StackSession` — the per-step behaviour (sensing,
 classification, roaming, then an inner frame loop that transmits A-MPDUs
 back-to-back within each step, charging CSI-feedback airtime when the
-scheduler fires).
+scheduler fires).  Sensing, RSSI, scans and handoffs are the
+:class:`repro.roaming.walk.ClientWalk` model the roaming session runs
+too; the mobility-oblivious arm never advances its sensing.
 """
 
 from __future__ import annotations
@@ -33,21 +35,23 @@ from repro.beamforming.feedback import (
 )
 from repro.beamforming.precoding import beamforming_gain, mrt_weights
 from repro.channel.perturbations import LinkPerturbations
-from repro.core.classifier import ClassifierConfig, MobilityClassifier
+from repro.core.classifier import ClassifierConfig
+from repro.core.hints import MobilityEstimate
 from repro.core.policy import PolicyTable, default_policy_table
 from repro.mac.aggregation import FrameTransmitter
 from repro.phy.csi_feedback import CSIFeedbackConfig, feedback_airtime_s
 from repro.phy.error import ErrorModel
 from repro.phy.mcs import single_stream_mcs
-from repro.phy.tof import ToFConfig, ToFSampler
+from repro.phy.tof import ToFConfig
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.base import RateAdapter
 from repro.rate.mobility_aware import MobilityAwareAtherosRA
-from repro.roaming.base import NeighborObservation, NeighborToF, RoamingContext, RoamingScheme
+from repro.roaming.base import RoamingScheme
 from repro.roaming.schemes import ControllerRoaming, DefaultClientRoaming
-from repro.sim.engine import Session, StepClock
-from repro.telemetry.recorder import NULL_RECORDER, Recorder
-from repro.util.rng import SeedLike, ensure_rng, spawn_rngs
+from repro.roaming.walk import ClientWalk
+from repro.sim.engine import Session, StepClock, TimeGrid
+from repro.telemetry.recorder import Recorder
+from repro.util.rng import SeedLike, spawn_rngs
 from repro.wlan.multilink import MultiApTraces
 from repro.wlan.traffic import TcpModel
 
@@ -111,200 +115,6 @@ def default_stack() -> StackComponents:
     )
 
 
-class _StackContext(RoamingContext):
-    def __init__(self, sim: "_StackSimulation") -> None:
-        self._sim = sim
-
-    @property
-    def now_s(self) -> float:
-        return self._sim.now_s
-
-    @property
-    def current_ap(self) -> int:
-        return self._sim.current_ap
-
-    @property
-    def n_aps(self) -> int:
-        return self._sim.n_aps
-
-    def current_rssi_dbm(self) -> float:
-        return self._sim.measured_rssi(self._sim.current_ap)
-
-    def scan(self):
-        sim = self._sim
-        sim.charge_outage(sim.scan_outage_s)
-        sim.n_scans += 1
-        if sim.recorder.enabled:
-            sim.recorder.count("scans", client=sim.client_label)
-            sim.recorder.event(
-                "adaptation", sim.now_s, client=sim.client_label, action="scan"
-            )
-        return {ap: sim.measured_rssi(ap) for ap in range(sim.n_aps)}
-
-    def accelerometer_moving(self) -> bool:
-        return False  # neither arm uses client sensors
-
-    def mobility_estimate(self):
-        return self._sim.classifier.estimate if self._sim.components.uses_classifier else None
-
-    def neighbor_report(self):
-        return {
-            ap: NeighborObservation(
-                rssi_dbm=self._sim.measured_rssi(ap),
-                heading=self._sim.neighbors.heading(ap),
-            )
-            for ap in range(self._sim.n_aps)
-        }
-
-
-class _StackSimulation:
-    #: Telemetry sink plus the client label stamped on emitted events
-    #: (bound by :meth:`StackSession.bind_recorder`).
-    recorder: Recorder = NULL_RECORDER
-    client_label: str = "client"
-
-    def __init__(
-        self,
-        multi: MultiApTraces,
-        components: StackComponents,
-        error_model: ErrorModel,
-        classifier_config: ClassifierConfig,
-        tof_config: ToFConfig,
-        seed: SeedLike,
-    ) -> None:
-        self.multi = multi
-        self.components = components
-        self.error_model = error_model
-        self.classifier_config = classifier_config
-        self.n_aps = multi.floorplan.n_aps
-        self.scan_outage_s = 0.150
-        self.handoff_outage_s = 0.250
-        self.forced_handoff_outage_s = 0.200
-
-        rng = ensure_rng(seed)
-        (
-            self._rssi_rng,
-            measurement_rng,
-            transmitter_rng,
-            perturbation_rng,
-            *tof_seeds,
-        ) = spawn_rngs(rng, 4 + self.n_aps)
-        times = multi.times
-        self.perturbations = LinkPerturbations(
-            float(times[0]), float(times[-1]) + 1.0, seed=perturbation_rng
-        )
-        self.transmitter = FrameTransmitter(error_model=error_model, seed=transmitter_rng)
-        self._measured_h = [
-            trace.measured_csi(measurement_rng) if trace.h is not None else None
-            for trace in multi.traces
-        ]
-        self.neighbors = NeighborToF(
-            multi.trajectory.times,
-            [
-                ToFSampler(tof_config, seed=s).sample(multi.distances_to_ap(i))
-                for i, s in enumerate(tof_seeds)
-            ],
-            classifier_config.tof,
-        )
-        self.classifier = MobilityClassifier(classifier_config)
-        self.feedback_config = CSIFeedbackConfig(
-            n_subcarriers=multi.traces[0].h.shape[1] if multi.traces[0].h is not None else 52,
-            n_tx=3,
-            n_rx=1,
-        )
-        self.feedback_airtime_s = feedback_airtime_s(self.feedback_config)
-
-        self.current_ap = multi.strongest_ap(0)
-        self.now_s = float(multi.times[0])
-        self.step_index = 0
-        self._outage_until = -1e9
-        self._next_csi_s = self.now_s
-        self._weights: Optional[np.ndarray] = None
-        self.n_scans = 0
-        self.n_handoffs = 0
-        self.n_feedbacks = 0
-
-    def measured_rssi(self, ap: int) -> float:
-        return float(self.multi.traces[ap].rssi_dbm[self.step_index]) + float(
-            self._rssi_rng.normal(0.0, 1.0)
-        )
-
-    def charge_outage(self, duration_s: float) -> None:
-        self._outage_until = max(self._outage_until, self.now_s + duration_s)
-
-    def perform_handoff(self, target: int, forced: bool) -> None:
-        self.charge_outage(self.forced_handoff_outage_s if forced else self.handoff_outage_s)
-        if self.recorder.enabled:
-            self.recorder.count("handoffs", client=self.client_label)
-            self.recorder.event(
-                "adaptation",
-                self.now_s,
-                client=self.client_label,
-                action="handoff",
-                from_ap=self.current_ap,
-                target_ap=target,
-                forced=forced,
-            )
-        self.current_ap = target
-        self.n_handoffs += 1
-        self.classifier.reset()
-        self._weights = None
-        self.components.rate.reset()
-        self.components.feedback.reset()
-        self._next_csi_s = self.now_s + self.classifier_config.csi_sampling_period_s
-
-    def advance_sensing(self, until_s: float) -> None:
-        if not self.components.uses_classifier:
-            return  # the mobility-oblivious arm never senses
-        neighbors = self.neighbors
-        due = neighbors.advance(until_s)
-        if self.classifier.wants_tof:
-            serving = neighbors.readings[self.current_ap]
-            for i in due:
-                self.classifier.push_tof(float(neighbors.times[i]), float(serving[i]))
-        while self._next_csi_s <= until_s:
-            h = self._measured_h[self.current_ap]
-            if h is not None:
-                idx = int(np.searchsorted(self.multi.times, self._next_csi_s, side="right") - 1)
-                idx = min(max(idx, 0), len(self.multi.times) - 1)
-                estimate = self.classifier.push_csi(self._next_csi_s, h[idx])
-                if estimate is not None and self.components.uses_classifier:
-                    self.components.rate.update_hint(estimate)
-                    self.components.aggregation.update_hint(estimate)
-                    self.components.feedback.update_hint(estimate)
-                    if self.recorder.enabled:
-                        self.recorder.event(
-                            "adaptation",
-                            self._next_csi_s,
-                            client=self.client_label,
-                            action="hint_applied",
-                            mode=estimate.mode.value,
-                            heading=estimate.heading.value,
-                        )
-            self._next_csi_s += self.classifier_config.csi_sampling_period_s
-
-    def beamformed_snr_db(self) -> float:
-        trace = self.multi.traces[self.current_ap]
-        snr = float(trace.snr_db[self.step_index])
-        h = trace.h
-        if h is None or self._weights is None:
-            return snr
-        h_now = np.asarray(h[self.step_index])[..., 0]  # (K, T): first rx chain
-        received = beamforming_gain(h_now, self._weights)
-        reference = float(np.mean(np.abs(h_now) ** 2))
-        gain = float(np.mean(received)) / max(reference, 1e-15)
-        return snr + 10.0 * np.log10(max(gain, 1e-3))
-
-    def refresh_beamforming_weights(self) -> None:
-        h = self._measured_h[self.current_ap]
-        if h is None:
-            return
-        self._weights = mrt_weights(np.asarray(h[self.step_index])[..., 0])
-        self.n_feedbacks += 1
-        if self.recorder.enabled:
-            self.recorder.count("feedback_refreshes", client=self.client_label)
-
-
 class StackSession(Session):
     """One client's integrated AP stack as an engine session.
 
@@ -326,64 +136,85 @@ class StackSession(Session):
     ) -> None:
         self.client = client
         self.components = components
-        self._sim = _StackSimulation(
-            multi, components, error_model, classifier_config, tof_config, seed
+        (
+            rssi_rng,
+            measurement_rng,
+            transmitter_rng,
+            perturbation_rng,
+            *tof_seeds,
+        ) = spawn_rngs(seed, 4 + multi.floorplan.n_aps)
+        times = multi.times
+        self._perturbations = LinkPerturbations(
+            float(times[0]), float(times[-1]) + 1.0, seed=perturbation_rng
         )
+        self._transmitter = FrameTransmitter(error_model=error_model, seed=transmitter_rng)
+        self._sim = ClientWalk(
+            multi,
+            classifier_config,
+            tof_config,
+            rssi_rng,
+            measurement_rng,
+            tof_seeds,
+            on_estimate=self._apply_estimate,
+        )
+        self._feedback_airtime_s = feedback_airtime_s(
+            CSIFeedbackConfig(
+                n_subcarriers=multi.traces[0].h.shape[1] if multi.traces[0].h is not None else 52,
+                n_tx=3,
+                n_rx=1,
+            )
+        )
+        self._weights: Optional[np.ndarray] = None
+        self._n_feedbacks = 0
         components.roaming.reset()
         components.rate.reset()
         components.feedback.reset()
-        self._ctx = _StackContext(self._sim)
-        n = len(multi.times)
-        self._goodput = np.zeros(n)
-        self._ap_timeline = np.empty(n, dtype=int)
+        self._goodput = np.zeros(len(times))
         self._estimates: List = []
 
     def bind_recorder(self, recorder: Recorder) -> None:
         super().bind_recorder(recorder)
-        self._sim.recorder = recorder
-        self._sim.client_label = self.client
-        self._sim.classifier.recorder = recorder
-        self._sim.classifier.telemetry_client = self.client
+        self._sim.bind_recorder(recorder, self.client)
+
+    def start(self, grid: TimeGrid) -> None:
+        self._sim.start(grid)
 
     def sense(self, clock: StepClock) -> None:
-        sim = self._sim
-        sim.step_index = clock.index
-        sim.now_s = clock.start_s
-        sim.advance_sensing(sim.now_s)
+        self._sim.move_to(clock)
+        if self.components.uses_classifier:  # the mobility-oblivious arm never senses
+            self._sim.advance(clock.start_s)
 
     def classify(self, clock: StepClock) -> None:
-        sim = self._sim
-        if sim.classifier.estimate is not None and (
-            not self._estimates or self._estimates[-1] is not sim.classifier.estimate
-        ):
-            self._estimates.append(sim.classifier.estimate)
+        estimate = self._sim.classifier.estimate
+        if estimate is not None and (not self._estimates or self._estimates[-1] is not estimate):
+            self._estimates.append(estimate)
 
     def adapt(self, clock: StepClock) -> None:
-        sim = self._sim
-        decision = self.components.roaming.decide(self._ctx)
-        if decision.wants_roam and decision.target_ap != sim.current_ap:
-            sim.perform_handoff(int(decision.target_ap), decision.forced)
-        self._ap_timeline[clock.index] = sim.current_ap
+        if self._sim.roam(self.components.roaming):
+            # The new AP starts without beamforming weights or rate history.
+            self._weights = None
+            self.components.rate.reset()
+            self.components.feedback.reset()
 
     def transmit(self, clock: StepClock) -> None:
         sim = self._sim
         components = self.components
-        t = max(sim.now_s, sim._outage_until)
+        t = max(sim.now_s, sim.outage_until)
         delivered_bytes = 0
         trace = sim.multi.traces[sim.current_ap]
         doppler = float(trace.doppler_hz[clock.index])
         while t < clock.end_s:
             if components.feedback.due(t):
-                sim.refresh_beamforming_weights()
+                self._refresh_beamforming_weights()
                 components.feedback.mark(t)
-                t += sim.feedback_airtime_s
+                t += self._feedback_airtime_s
                 continue
-            fade_db, in_burst = sim.perturbations.advance(t, doppler)
-            snr_eff = sim.beamformed_snr_db() + fade_db
+            fade_db, in_burst = self._perturbations.advance(t, doppler)
+            snr_eff = self._beamformed_snr_db() + fade_db
             if in_burst:
-                snr_eff -= sim.perturbations.config.interference_penalty_db
+                snr_eff -= self._perturbations.config.interference_penalty_db
             mcs = components.rate.select(t)
-            frame = sim.transmitter.transmit(
+            frame = self._transmitter.transmit(
                 mcs,
                 snr_eff,
                 doppler,
@@ -398,19 +229,57 @@ class StackSession(Session):
     def finish(self) -> StackRunResult:
         sim = self._sim
         if self.recorder.enabled:
-            self.recorder.gauge("stack.handoffs", float(sim.n_handoffs), client=self.client)
+            self.recorder.gauge("stack.handoffs", float(len(sim.handoffs)), client=self.client)
             self.recorder.gauge("stack.scans", float(sim.n_scans), client=self.client)
-            self.recorder.gauge("stack.feedbacks", float(sim.n_feedbacks), client=self.client)
+            self.recorder.gauge("stack.feedbacks", float(self._n_feedbacks), client=self.client)
             self.recorder.gauge(
                 "stack.mean_goodput_mbps", float(np.mean(self._goodput)), client=self.client
             )
         return StackRunResult(
             times=np.asarray(sim.multi.times, dtype=float),
             goodput_mbps=self._goodput,
-            ap_timeline=self._ap_timeline,
-            n_handoffs=sim.n_handoffs,
+            ap_timeline=sim.ap_timeline,
+            n_handoffs=len(sim.handoffs),
             n_scans=sim.n_scans,
-            n_feedbacks=sim.n_feedbacks,
+            n_feedbacks=self._n_feedbacks,
             estimates=self._estimates,
         )
 
+    def _apply_estimate(self, time_s: float, estimate: MobilityEstimate) -> None:
+        """Hand a fresh estimate to rate control, aggregation and feedback."""
+        components = self.components
+        components.rate.update_hint(estimate)
+        components.aggregation.update_hint(estimate)
+        components.feedback.update_hint(estimate)
+        if self.recorder.enabled:
+            self.recorder.event(
+                "adaptation",
+                time_s,
+                client=self.client,
+                action="hint_applied",
+                mode=estimate.mode.value,
+                heading=estimate.heading.value,
+            )
+
+    def _beamformed_snr_db(self) -> float:
+        sim = self._sim
+        trace = sim.multi.traces[sim.current_ap]
+        snr = float(trace.snr_db[sim.step_index])
+        h = trace.h
+        if h is None or self._weights is None:
+            return snr
+        h_now = np.asarray(h[sim.step_index])[..., 0]  # (K, T): first rx chain
+        received = beamforming_gain(h_now, self._weights)
+        reference = float(np.mean(np.abs(h_now) ** 2))
+        gain = float(np.mean(received)) / max(reference, 1e-15)
+        return snr + 10.0 * np.log10(max(gain, 1e-3))
+
+    def _refresh_beamforming_weights(self) -> None:
+        sim = self._sim
+        h = sim.measured_h[sim.current_ap]
+        if h is None:
+            return
+        self._weights = mrt_weights(np.asarray(h[sim.step_index])[..., 0])
+        self._n_feedbacks += 1
+        if self.recorder.enabled:
+            self.recorder.count("feedback_refreshes", client=self.client)

@@ -1,7 +1,7 @@
 """Golden-value determinism tests for the engine-backed simulators.
 
 Every value below was recorded by running the *pre-refactor* hand-rolled
-loops (the integrated stack, roaming, scheduling, ``simulate_uplink`` and
+loops (the integrated stack, roaming, scheduling, hinted rate control and
 ``sense_and_classify``) at the stated seeds, before the outer loops moved
 into :class:`repro.sim.SimulationEngine`.  The refactor is required to be
 bit-identical: sessions replay the same RNG draws in the same order, and
@@ -26,6 +26,7 @@ from repro.experiments.common import classification_decisions, sense_and_classif
 from repro.mobility.modes import Heading, MobilityMode
 from repro.mobility.scenarios import macro_scenario, static_scenario
 from repro.rate.atheros import AtherosRateAdaptation
+from repro.rate.simulator import simulate_rate_control
 from repro.roaming.schemes import ControllerRoaming, DefaultClientRoaming
 from repro.roaming.simulator import RoamingSession
 from repro.sim import SimulationEngine, TimeGrid
@@ -40,7 +41,6 @@ from repro.wlan.scheduler import (
     SchedulingSession,
 )
 from repro.wlan.stack import StackSession, default_stack, mobility_aware_stack
-from repro.wlan.uplink import simulate_uplink
 
 AREA = (2.0, 2.0, 38.0, 23.0)
 
@@ -182,13 +182,18 @@ class TestSchedulerGolden:
         assert result.slots_served == slots
 
 
-class TestUplinkGolden:
-    def test_uplink_matches_prerefactor(self):
+class TestRateControlGolden:
+    def test_hinted_rate_control_matches_prerefactor(self):
+        """A hint delivered 50 ms late (at 2.05 s), default transmitter
+        (seed 0) and the default 4 ms aggregation: the only engine golden
+        that pins :class:`repro.rate.simulator.RateControlSession`."""
         trace = synthetic_trace(snr_db=lambda t: 25.0 - 0.8 * t, duration_s=10.0, doppler_hz=15.0)
-        hints = [MobilityEstimate(2.0, MobilityMode.MACRO, Heading.AWAY, tof_window_full=True)]
-        result = simulate_uplink(AtherosRateAdaptation(), trace, hints=hints)
+        hints = [
+            MobilityEstimate(2.0 + 0.050, MobilityMode.MACRO, Heading.AWAY, tof_window_full=True)
+        ]
+        result = simulate_rate_control(AtherosRateAdaptation(), trace, hints=hints)
         assert result.throughput_mbps == 82.76583136641489
-        assert result.rate_result.n_frames == 2391
+        assert result.n_frames == 2391
 
 
 class TestSensingGolden:

@@ -21,26 +21,33 @@ from repro.channel.model import LinkChannel
 from repro.experiments.common import sense_and_classify
 from repro.mobility.scenarios import macro_scenario, micro_scenario
 from repro.mobility.trajectory import StaticTrajectory
+from repro.mac.aggregation import FrameTransmitter
 from repro.rate.atheros import AtherosRateAdaptation
+from repro.rate.simulator import simulate_rate_control
 from repro.testing import synthetic_trace
 from repro.util.geometry import Point
 from repro.util.rng import ensure_rng, spawn_rngs
 from repro.wlan.floorplan import default_office_floorplan
-from repro.wlan.uplink import simulate_uplink
 
 AP = Point(0.0, 0.0)
 CLIENT = Point(8.0, 5.0)
 
 
-def _uplink_fingerprint(seed):
+def _rate_control_fingerprint(seed):
     trace = synthetic_trace(snr_db=22.0, duration_s=5.0, doppler_hz=8.0)
-    result = simulate_uplink(AtherosRateAdaptation(), trace, seed=seed)
-    rr = result.rate_result
+    result = simulate_rate_control(
+        AtherosRateAdaptation(),
+        trace,
+        transmitter=FrameTransmitter(seed=seed),
+        record_timeline=True,
+    )
     return np.concatenate(
         [
-            np.array([result.throughput_mbps, rr.n_frames, rr.delivered_bytes], dtype=float),
-            np.asarray(rr.frame_mcs, dtype=float),
-            np.asarray(rr.frame_delivered, dtype=float),
+            np.array(
+                [result.throughput_mbps, result.n_frames, result.delivered_bytes], dtype=float
+            ),
+            np.asarray(result.frame_mcs, dtype=float),
+            np.asarray(result.frame_delivered, dtype=float),
         ]
     )
 
@@ -93,7 +100,7 @@ def _spawn_rngs_fingerprint(seed):
 
 
 ENTRY_POINTS = [
-    pytest.param(_uplink_fingerprint, id="simulate_uplink"),
+    pytest.param(_rate_control_fingerprint, id="simulate_rate_control"),
     pytest.param(_sense_and_classify_fingerprint, id="sense_and_classify"),
     pytest.param(_micro_scenario_fingerprint, id="micro_scenario"),
     pytest.param(_macro_scenario_fingerprint, id="macro_scenario"),
@@ -123,7 +130,7 @@ def test_seed_runs_share_no_global_state():
     i.e. nothing routes through module-level RNG state (np.random.* or
     stdlib random), which is exactly what REP001 bans statically."""
     solo = _link_channel_fingerprint(5)
-    _ = _uplink_fingerprint(99)  # interleaved unrelated seeded work
+    _ = _rate_control_fingerprint(99)  # interleaved unrelated seeded work
     interleaved = _link_channel_fingerprint(5)
     np.testing.assert_array_equal(solo, interleaved)
 

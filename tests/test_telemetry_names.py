@@ -12,14 +12,23 @@ from pathlib import Path
 
 import pytest
 
+from repro.channel.config import ChannelConfig
+from repro.core.hints import MobilityEstimate
 from repro.experiments.common import sense_and_classify
+from repro.mobility.modes import Heading, MobilityMode
 from repro.mobility.scenarios import macro_scenario
 from repro.rate.atheros import AtherosRateAdaptation
+from repro.rate.simulator import RateControlSession
+from repro.roaming.schemes import ControllerRoaming, DefaultClientRoaming
+from repro.roaming.simulator import RoamingSession
+from repro.sim import SimulationEngine, TimeGrid
 from repro.telemetry import TelemetryRecorder
 from repro.telemetry import names
 from repro.testing import synthetic_trace
 from repro.util.geometry import Point
-from repro.wlan.uplink import simulate_uplink
+from repro.wlan.floorplan import default_office_floorplan
+from repro.wlan.multilink import MultiApChannel
+from repro.wlan.stack import StackSession, mobility_aware_stack
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,11 +96,36 @@ class TestRealRunEmitsOnlyRegisteredNames:
         # The run actually exercised the registry (not vacuously true).
         assert recorder.metrics.metrics() and len(recorder.events) > 0
 
-    def test_uplink_run_is_fully_registered(self):
+    def test_hinted_rate_control_run_is_fully_registered(self):
         recorder = TelemetryRecorder()
         trace = synthetic_trace(snr_db=25.0, duration_s=5.0)
-        simulate_uplink(AtherosRateAdaptation(), trace, seed=3, recorder=recorder)
+        hints = [MobilityEstimate(1.0, MobilityMode.MACRO, Heading.AWAY, tof_window_full=True)]
+        engine = SimulationEngine(TimeGrid(trace.times), recorder=recorder)
+        engine.add(RateControlSession(AtherosRateAdaptation(), trace, hints=hints))
+        engine.run()
         assert unregistered_names(recorder) == []
+        assert "rate.hints" in {metric.name for metric in recorder.metrics.metrics()}
+
+    def test_stack_and_roaming_runs_are_fully_registered(self):
+        recorder = TelemetryRecorder()
+        scenario = macro_scenario(Point(6.0, 6.0), area=(2.0, 2.0, 38.0, 23.0), seed=21)
+        channel = MultiApChannel(
+            default_office_floorplan(), ChannelConfig(tx_power_dbm=8.0), seed=21
+        )
+        multi = channel.evaluate(
+            scenario.sample(15.0, 0.02), sample_interval_s=0.1, include_h=True
+        )
+        engine = SimulationEngine(TimeGrid(multi.times), recorder=recorder)
+        engine.add(StackSession(multi, mobility_aware_stack(), seed=4, client="stack"))
+        engine.add(RoamingSession(multi, ControllerRoaming(), seed=4, client="controller"))
+        engine.add(RoamingSession(multi, DefaultClientRoaming(), seed=4, client="default"))
+        engine.run()
+        assert unregistered_names(recorder) == []
+        emitted = {metric.name for metric in recorder.metrics.metrics()}
+        for name in ("scans", "handoffs", "stack.handoffs", "roaming.handoffs"):
+            assert name in emitted
+        actions = {e.fields.get("action") for e in recorder.events if e.kind == "adaptation"}
+        assert {"scan", "handoff", "hint_applied"} <= actions
 
     def test_deliberate_violation_is_caught(self):
         """An unregistered emission must be visible to the checker."""
