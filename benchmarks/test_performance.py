@@ -126,9 +126,9 @@ class _StepCountingSession(Session):
 def test_perf_engine_channel_fanout(benchmark, n_clients):
     """Engine step cost while serving N clients on one shared grid.
 
-    With more than one client the channel must be evaluated through the
-    batched :meth:`MultiLinkChannel.evaluate_many` kernel — one fused call,
-    not N scalar per-link loops — which the call accounting asserts.
+    Every client count, one included, evaluates the channel in one
+    :meth:`MultiLinkChannel.evaluate_many` call over all N links, which
+    the call accounting asserts.
     """
     trajectories = [
         WaypointWalkTrajectory(Point(5.0 + i, 5.0), area=(-40, -40, 40, 40), seed=10 + i).sample(
@@ -147,16 +147,9 @@ def test_perf_engine_channel_fanout(benchmark, n_clients):
     channel, results = benchmark(run)
     assert len(results) == n_clients
     assert all(steps == len(trajectories[0].times[::2]) for steps in results.values())
-    if n_clients > 1:
-        # Batched path: one evaluate_many sweep across all clients, and the
-        # scalar per-link entry point never ran.
-        assert channel.n_batched_calls == 1
-        assert channel.last_batch_size == n_clients
-        assert sum(link.n_evaluate_calls for link in channel.links) == 0
-    else:
-        # A single client short-circuits to the scalar link evaluation.
-        assert channel.n_calls == 0
-        assert channel.links[0].n_evaluate_calls == 1
+    # One evaluate_many sweep across all clients.
+    assert channel.n_calls == 1
+    assert channel.last_batch_size == n_clients
 
 
 #: Machine-readable scaling results, written to the repo root once all

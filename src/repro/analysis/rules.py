@@ -375,7 +375,7 @@ class TelemetrySchemaRule(Rule):
                 continue
             first = node.args[0]
             if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                if not self._registered(first.value, kinds):
+                if not any(telemetry_names.is_registered(first.value, kind) for kind in kinds):
                     out.append(
                         self.diag(
                             path,
@@ -404,14 +404,6 @@ class TelemetrySchemaRule(Rule):
                         )
                     )
         return out
-
-    @staticmethod
-    def _registered(name: str, kinds: Sequence[str]) -> bool:
-        return any(
-            entry.matches(name)
-            for entry in telemetry_names.REGISTRY
-            if entry.kind in kinds
-        )
 
 
 class SwallowedFailureRule(Rule):

@@ -33,7 +33,7 @@ from repro.channel.paths import PathSet, draw_path_set, steering_vector
 from repro.channel.propagation import ShadowingProcess, path_loss_db
 from repro.mobility.environment import EnvironmentProcess
 from repro.telemetry.recorder import NULL_RECORDER, Recorder
-from repro.util.geometry import Point
+from repro.util.geometry import Point, heading_between
 from repro.util.rng import SeedLike, ensure_rng, spawn_rngs
 from repro.util.units import SPEED_OF_LIGHT
 
@@ -150,9 +150,9 @@ class _LinkEvalPlan:
     """Everything the ray-sum kernel needs for one link, precomputed.
 
     Splitting :meth:`LinkChannel.evaluate` into prepare → ray-sum → finish
-    lets :class:`MultiLinkChannel` fuse the (dominant) ray-sum stage of many
-    links into one batched kernel while each link keeps its own stochastic
-    state evolution.
+    lets :class:`MultiLinkChannel` run the (dominant) ray-sum stage of many
+    links as one kernel call while each link keeps its own stochastic state
+    evolution.
     """
 
     times: np.ndarray
@@ -177,78 +177,23 @@ class _LinkEvalPlan:
         return self.freq_nlos.shape[1]
 
 
-def _raysum_link(
-    plan: _LinkEvalPlan, n_tx: int, n_rx: int, include_h: bool, chunk_size: int
-):
-    """Scalar (one-link) ray-sum kernel.
-
-    This is the historical per-link computation, kept operation-for-
-    operation identical so existing seeded results stay bit-exact.
-    """
-    n = plan.n
-    fading = np.empty(n)
-    selective = np.empty(n)
-    condition_db = np.empty(n)
-    h_store = (
-        np.empty((n, plan.k_count, n_tx, n_rx), dtype=np.complex64) if include_h else None
-    )
-
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        h_nlos = np.einsum(
-            "np,pk,pt,pr->nktr",
-            plan.ray_phasors[start:stop, 1:],
-            plan.freq_nlos,
-            plan.tx_nlos,
-            plan.rx_nlos,
-            optimize=True,
-        )
-        h_los = np.einsum(
-            "n,nk,nt,nr->nktr",
-            plan.ray_phasors[start:stop, 0],
-            plan.freq_los[start:stop],
-            plan.tx_los[start:stop],
-            plan.rx_los[start:stop],
-            optimize=True,
-        )
-        h_chunk = h_nlos + h_los
-        power = np.abs(h_chunk) ** 2
-        fading[start:stop] = np.mean(power, axis=(1, 2, 3))
-        # Frequency-selectivity-aware (geometric band mean) power: deep
-        # notches pull it down, matching how PER reacts to fades.
-        per_subcarrier = np.mean(power, axis=(2, 3))  # (chunk, K)
-        selective[start:stop] = np.exp(
-            np.mean(np.log(np.maximum(per_subcarrier, 1e-15)), axis=1)
-        )
-        narrowband = np.mean(h_chunk, axis=1)  # (chunk, T, R)
-        singulars = np.linalg.svd(narrowband, compute_uv=False)  # (chunk, min(T,R))
-        s1 = singulars[:, 0]
-        s2 = singulars[:, 1] if singulars.shape[1] > 1 else np.full_like(s1, 1e-9)
-        condition_db[start:stop] = 20.0 * np.log10(np.maximum(s1, 1e-12) / np.maximum(s2, 1e-12))
-        if include_h:
-            h_store[start:stop] = h_chunk.astype(np.complex64)
-
-    return fading, selective, condition_db, h_store
-
-
 def _raysum_batched(
-    plans: Sequence[_LinkEvalPlan],
-    n_tx: int,
-    n_rx: int,
-    include_h: Sequence[bool],
-    chunk_size: int,
+    plans: Sequence[_LinkEvalPlan], include_h: Sequence[bool], chunk_size: int
 ):
-    """Batched ray-sum over many links sharing one time grid.
+    """The ray-sum kernel: every channel evaluation runs through it.
 
-    All per-link arrays are stacked on a leading client axis and contracted
-    in one einsum per chunk, so the per-step cost stops scaling as C
-    independent Python loops.  Numerics can differ from the scalar kernel
-    at float rounding level (different contraction order), which is why
-    golden-compatible consumers pass ``batched=False``.
+    The links in ``plans`` share one time grid and their array shapes
+    (paths, subcarriers, antennas); a single link is a batch of one.  All
+    per-link arrays are stacked on a leading link axis and contracted in
+    one einsum per chunk, so the per-step cost stops scaling as C
+    independent Python loops.  A link's outputs do not depend on the other
+    links in the batch: they are bit-identical alone and batched.
     """
     c = len(plans)
     n = plans[0].n
     k_count = plans[0].k_count
+    n_tx = plans[0].tx_los.shape[1]
+    n_rx = plans[0].rx_los.shape[1]
     ray_nlos = np.stack([p.ray_phasors[:, 1:] for p in plans])  # (C, N, P-1)
     ray_los = np.stack([p.ray_phasors[:, 0] for p in plans])  # (C, N)
     freq_nlos = np.stack([p.freq_nlos for p in plans])  # (C, P-1, K)
@@ -286,6 +231,8 @@ def _raysum_batched(
         )
         power = np.abs(h_chunk) ** 2
         fading[:, start:stop] = np.mean(power, axis=(2, 3, 4))
+        # Frequency-selectivity-aware (geometric band mean) power: deep
+        # notches pull it down, matching how PER reacts to fades.
         per_subcarrier = np.mean(power, axis=(3, 4))  # (C, chunk, K)
         selective[:, start:stop] = np.exp(
             np.mean(np.log(np.maximum(per_subcarrier, 1e-15)), axis=2)
@@ -302,6 +249,26 @@ def _raysum_batched(
                 store[start:stop] = h_chunk[ci].astype(np.complex64)
 
     return fading, selective, condition_db, h_stores
+
+
+def _evaluate_plans(
+    links: Sequence["LinkChannel"],
+    plans: Sequence[_LinkEvalPlan],
+    include_h: Sequence[bool],
+    chunk_size: int,
+) -> List[ChannelTrace]:
+    """One kernel call over ``plans``, finished into each link's trace."""
+    fading, selective, condition_db, h_stores = _raysum_batched(plans, include_h, chunk_size)
+    return [
+        link._finish_evaluation(plan, fading[i], selective[i], condition_db[i], h_stores[i])
+        for i, (link, plan) in enumerate(zip(links, plans))
+    ]
+
+
+def _shapes_agree(plans: Sequence[_LinkEvalPlan]) -> bool:
+    """Links can share one kernel call iff their array shapes agree."""
+    shapes = {(p.freq_nlos.shape, p.tx_nlos.shape, p.rx_nlos.shape) for p in plans}
+    return len(shapes) == 1
 
 
 class LinkChannel:
@@ -332,16 +299,14 @@ class LinkChannel:
         self._last_position: Optional[Point] = None
         #: multipath structure decorrelation distance (metres of travel).
         self.structure_decorrelation_m = 2.5
-        #: scalar-path call accounting (the batched path does not bump it).
-        self.n_evaluate_calls = 0
-        #: telemetry sink for scalar evaluation timing (no-op by default).
+        #: telemetry sink for evaluation timing (no-op by default).
         self.recorder: Recorder = NULL_RECORDER
 
     # ------------------------------------------------------------------ setup
 
     def _ensure_paths(self, first_position: Point) -> PathSet:
         if self._paths is None:
-            los_angle = math.atan2(first_position.y - self.ap.y, first_position.x - self.ap.x)
+            los_angle = heading_between(self.ap, first_position)
             self._paths = draw_path_set(self.config, los_angle, seed=self._path_rng)
             p = self._paths.n_paths
             self._env_state = (
@@ -349,14 +314,12 @@ class LinkChannel:
             ) / math.sqrt(2.0)
             self._residual_phase = np.zeros(p)
             self._nlos_gains = self._paths.amplitudes[1:].copy()
-            k = self.config.rician_k_linear
             profile = np.abs(self._paths.amplitudes[1:]) ** 2
             # Target std for structure drift: keep the power-delay profile
             # shape, anchored at the drawn powers.
             self._nlos_std = np.sqrt(np.maximum(profile, 1e-9))
             self._anchor = first_position
             self._last_position = first_position
-            del k
         return self._paths
 
     def _environment_mask(self, n_paths: int) -> np.ndarray:
@@ -387,14 +350,10 @@ class LinkChannel:
         ``(N, 2)``.  With ``include_h=False`` only scalar link quality is
         produced (cheaper for long MAC-level simulations).
         """
-        self.n_evaluate_calls += 1
         live = self.recorder.enabled
         t0 = perf_counter() if live else 0.0
         plan = self._prepare_evaluation(times, positions)
-        fading, selective, condition_db, h_store = _raysum_link(
-            plan, self.config.n_tx, self.config.n_rx, include_h, chunk_size
-        )
-        trace = self._finish_evaluation(plan, fading, selective, condition_db, h_store)
+        (trace,) = _evaluate_plans([self], [plan], [include_h], chunk_size)
         if live:
             self.recorder.channel_eval(
                 "link_evaluate",
@@ -402,7 +361,6 @@ class LinkChannel:
                 n_samples=plan.n,
                 elapsed_s=perf_counter() - t0,
                 time_s=float(plan.times[0]),
-                batched=False,
             )
         return trace
 
@@ -671,8 +629,8 @@ class MultiLinkChannel:
     the architectural hook the :class:`repro.sim.SimulationEngine` uses for
     multi-client runs.
 
-    ``n_calls`` / ``n_batched_calls`` / ``last_batch_size`` provide the
-    call accounting the scaling benchmarks assert against.
+    ``n_calls`` / ``last_batch_size`` provide the call accounting the
+    scaling benchmarks assert against.
     """
 
     def __init__(self, links: Sequence[LinkChannel]) -> None:
@@ -680,7 +638,6 @@ class MultiLinkChannel:
             raise ValueError("need at least one link")
         self._links = list(links)
         self.n_calls = 0
-        self.n_batched_calls = 0
         self.last_batch_size = 0
         self._recorder: Recorder = NULL_RECORDER
 
@@ -718,35 +675,23 @@ class MultiLinkChannel:
     def __len__(self) -> int:
         return len(self._links)
 
-    def _batchable(self, plans: Sequence[_LinkEvalPlan]) -> bool:
-        """Links can share one kernel iff their array shapes agree."""
-        first = self._links[0].config
-        shape = plans[0].freq_nlos.shape
-        for link, plan in zip(self._links, plans):
-            cfg = link.config
-            if (cfg.n_tx, cfg.n_rx) != (first.n_tx, first.n_rx):
-                return False
-            if plan.freq_nlos.shape != shape:
-                return False
-        return True
-
     def evaluate_many(
         self,
         times: np.ndarray,
         positions_per_client: Sequence[np.ndarray],
         include_h: bool = False,
         include_h_for: Optional[Sequence[int]] = None,
-        batched: bool = True,
         chunk_size: int = 2048,
     ) -> List[ChannelTrace]:
         """Evaluate every link at ``times``; one position array per link.
 
         ``include_h_for`` lists link indices that need full CSI (bounding
-        memory, as in :class:`repro.wlan.multilink.MultiApChannel`).  With
-        ``batched=True`` the ray sums of all links run through one fused
-        kernel; ``batched=False`` keeps the scalar per-link kernel whose
-        numerics are bit-identical to historical single-link evaluation
-        (golden-value consumers rely on that).
+        memory, as in :class:`repro.wlan.multilink.MultiApChannel`).  The
+        ray sums of many links run through one kernel call, as many links
+        per call as fit in ``chunk_size`` samples; links whose array shapes
+        differ (mixed antenna, path or subcarrier counts) run as one-link
+        calls of the same kernel.  Either way each link's trace is
+        bit-identical to what :meth:`LinkChannel.evaluate` gives it.
         """
         if len(positions_per_client) != len(self._links):
             raise ValueError(
@@ -764,36 +709,16 @@ class MultiLinkChannel:
             for link, positions in zip(self._links, positions_per_client)
         ]
         self.n_calls += 1
-        if batched and len(plans) > 1 and self._batchable(plans):
-            self.n_batched_calls += 1
-            self.last_batch_size = len(plans)
-            cfg = self._links[0].config
-            fading, selective, condition_db, h_stores = _raysum_batched(
-                plans, cfg.n_tx, cfg.n_rx, wants, chunk_size
-            )
-            traces = [
-                link._finish_evaluation(
-                    plan, fading[i], selective[i], condition_db[i], h_stores[i]
-                )
-                for i, (link, plan) in enumerate(zip(self._links, plans))
-            ]
-            if live:
-                self._recorder.channel_eval(
-                    "evaluate_many",
-                    batch_size=len(plans),
-                    n_samples=plans[0].n,
-                    elapsed_s=perf_counter() - t0,
-                    time_s=float(plans[0].times[0]),
-                    batched=True,
-                )
-            return traces
+        self.last_batch_size = len(plans)
+        # One kernel chunk holds at most ``chunk_size`` link-samples, as one
+        # link's time chunk does, so batching links never multiplies the
+        # peak memory of a long evaluation.
+        per_call = max(1, chunk_size // plans[0].n) if _shapes_agree(plans) else 1
         traces = []
-        for link, plan, want in zip(self._links, plans, wants):
-            fading, selective, condition_db, h_store = _raysum_link(
-                plan, link.config.n_tx, link.config.n_rx, want, chunk_size
-            )
-            traces.append(
-                link._finish_evaluation(plan, fading, selective, condition_db, h_store)
+        for start in range(0, len(plans), per_call):
+            group = slice(start, start + per_call)
+            traces += _evaluate_plans(
+                self._links[group], plans[group], wants[group], chunk_size
             )
         if live:
             self._recorder.channel_eval(
@@ -802,6 +727,5 @@ class MultiLinkChannel:
                 n_samples=plans[0].n,
                 elapsed_s=perf_counter() - t0,
                 time_s=float(plans[0].times[0]),
-                batched=False,
             )
         return traces

@@ -22,7 +22,6 @@ from repro.core.policy import MobilityPolicy, PolicyTable, default_policy_table
 from repro.core.similarity import (
     batched_pair_similarity,
     csi_similarity,
-    csi_similarity_stream,
     prepare_csi_gains,
 )
 from repro.core.tof_trend import ToFTrend
@@ -39,7 +38,6 @@ __all__ = [
     "ToFTrend",
     "batched_pair_similarity",
     "csi_similarity",
-    "csi_similarity_stream",
     "default_policy_table",
     "prepare_csi_gains",
 ]

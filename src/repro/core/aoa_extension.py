@@ -7,10 +7,11 @@ this limitation".
 
 This module implements that extension.  A multi-antenna AP can estimate
 the dominant AoA of the client's uplink frames from the per-antenna CSI
-phase ramp.  Circular motion leaves the distance constant but sweeps the
-AoA steadily; confined micro-motion wobbles the AoA without a sustained
-sweep.  The same trend machinery used for ToF applies, on the *unwrapped*
-angle series:
+phase ramp (:class:`AoASampler` draws such noisy readings).  Circular
+motion leaves the distance constant but sweeps the AoA steadily;
+confined micro-motion wobbles the AoA without a sustained sweep.  The
+same trend machinery used for ToF applies, on the *unwrapped* angle
+series:
 
 * ToF trend        -> macro (radial motion), heading towards/away
 * AoA sweep trend  -> macro (tangential motion), no radial heading
@@ -59,21 +60,6 @@ class AoAConfig:
             raise ValueError("aggregation parameters out of range")
         if self.min_net_rad <= 0 or self.step_tolerance_rad < 0:
             raise ValueError("trend thresholds out of range")
-
-
-def estimate_aoa(h_narrowband: np.ndarray) -> float:
-    """Dominant AoA (radians) from a ULA channel snapshot ``(n_tx,)``.
-
-    The phase ramp across a half-wavelength ULA is ``-pi * sin(theta)`` per
-    element; the average adjacent-element phase difference inverts it.
-    """
-    h = np.asarray(h_narrowband).ravel()
-    if len(h) < 2:
-        raise ValueError("AoA needs at least two antenna elements")
-    cross = h[1:] * np.conj(h[:-1])
-    phase = float(np.angle(np.sum(cross)))
-    # phase = -pi * sin(theta)  ->  theta = arcsin(-phase / pi)
-    return math.asin(max(-1.0, min(1.0, -phase / math.pi)))
 
 
 class AoASampler:

@@ -147,23 +147,3 @@ def default_policy_table() -> PolicyTable:
             ),
         }
     )
-
-
-def mobility_oblivious_policy() -> MobilityPolicy:
-    """The default 802.11n stack's fixed parameters (the paper's baselines).
-
-    Atheros defaults: alpha = 1/8 PER smoothing, no extra retries before
-    rate reduction, 4 ms maximum aggregation time (Section 5.1), 200 ms CSI
-    feedback period (Section 6.3), probe interval of 100 ms, and
-    client-driven roaming only.
-    """
-    return MobilityPolicy(
-        roaming_preparation=False,
-        encourage_roaming=False,
-        probe_interval_ms=100.0,
-        per_smoothing_factor=1.0 / 8.0,
-        rate_retries=0,
-        aggregation_limit_ms=4.0,
-        su_bf_feedback_ms=200.0,
-        mu_mimo_feedback_ms=200.0,
-    )

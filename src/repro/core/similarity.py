@@ -21,7 +21,7 @@ being robust to per-chain gain differences.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -121,21 +121,6 @@ def csi_similarity(csi_a: np.ndarray, csi_b: np.ndarray) -> float:
     return float(batched_pair_similarity(rows_a, rows_b)[0])
 
 
-def csi_similarity_stream(csi_samples: Iterable[np.ndarray]) -> Iterator[float]:
-    """Similarity of each consecutive pair in a stream of CSI samples.
-
-    Yields one value per sample after the first — the quantity the
-    classifier thresholds (Fig. 5 tracks "similarity between consecutive
-    CSI values").
-    """
-    previous: Optional[np.ndarray] = None
-    for sample in csi_samples:
-        current = np.asarray(sample)
-        if previous is not None:
-            yield csi_similarity(previous, current)
-        previous = current
-
-
 def csi_similarity_series(h: np.ndarray, lag: int = 1) -> np.ndarray:
     """Vectorised similarity of samples ``lag`` apart in a CSI trace.
 
@@ -163,15 +148,3 @@ def csi_similarity_series(h: np.ndarray, lag: int = 1) -> np.ndarray:
     denom = np.sqrt(np.sum(a * a, axis=1)) * np.sqrt(np.sum(b * b, axis=1))
     per_pair = np.where(denom > 1e-15, num / np.maximum(denom, 1e-15), 1.0)
     return np.mean(per_pair, axis=(1, 2))
-
-
-def similarity_timescale(h: np.ndarray, dt_s: float, lags_s: Tuple[float, ...]) -> dict:
-    """Mean similarity at several time lags — the Fig. 2(a) curve."""
-    result = {}
-    for lag_s in lags_s:
-        lag = max(1, int(round(lag_s / dt_s)))
-        series = csi_similarity_series(h, lag=lag)
-        if len(series) == 0:
-            continue
-        result[lag_s] = float(np.mean(series))
-    return result

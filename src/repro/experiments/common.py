@@ -25,7 +25,7 @@ from repro.core.batched import BatchedMobilityClassifier
 from repro.core.classifier import ClassifierConfig
 from repro.core.hints import MobilityEstimate
 from repro.faults import FaultPlan
-from repro.mobility.modes import MODE_ORDER, GroundTruth, Heading, MobilityMode
+from repro.mobility.modes import MODE_ORDER, GroundTruth, MobilityMode
 from repro.mobility.scenarios import MobilityScenario
 from repro.phy.tof import ToFConfig, ToFSampler
 from repro.sim import (
@@ -368,10 +368,3 @@ def sense_and_classify(
             failure=result,
         )
     return SensedLink(trajectory=trajectory, trace=trace, hints=result, truths=truths)
-
-
-def mode_label(mode: MobilityMode, heading: Heading = Heading.NONE) -> str:
-    """Stable display label for report rows."""
-    if mode == MobilityMode.MACRO and heading != Heading.NONE:
-        return f"macro-{heading.value}"
-    return mode.value

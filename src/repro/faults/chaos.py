@@ -242,12 +242,9 @@ class _ChaosRecorder(Recorder):
         n_samples: int,
         elapsed_s: float,
         time_s: float = 0.0,
-        batched: bool = False,
     ) -> None:
         self.fault.check("channel_eval")
-        self.inner.channel_eval(
-            op, batch_size, n_samples, elapsed_s, time_s=time_s, batched=batched
-        )
+        self.inner.channel_eval(op, batch_size, n_samples, elapsed_s, time_s=time_s)
 
 
 class RecorderFault:

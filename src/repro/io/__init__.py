@@ -1,23 +1,20 @@
-"""Trace persistence and external CSI dataset adapters.
+"""External CSI dataset adapters.
 
 The paper's methodology is heavily trace-based: CSI/ToF traces are
 collected once and replayed through emulators (Sections 4.3, 6.2).  This
-package provides the same workflow:
+package provides the same workflow for real captures:
 
-* :mod:`repro.io.traces` — save/load :class:`~repro.channel.model.ChannelTrace`
-  bundles to ``.npz`` so expensive channel evaluations can be reused;
 * :mod:`repro.io.csitool` — reader/writer for the Linux 802.11n CSI Tool
   binary log format (Intel 5300), so the classifier can run on public CSI
-  datasets collected with that tool.
+  datasets collected with that tool;
+* :mod:`repro.io.stream` — replays such a capture through the streaming
+  router.
 """
 
 from repro.io.csitool import CsiRecord, read_csitool_log, write_csitool_log
-from repro.io.traces import load_trace, save_trace
 
 __all__ = [
     "CsiRecord",
-    "load_trace",
     "read_csitool_log",
-    "save_trace",
     "write_csitool_log",
 ]

@@ -48,11 +48,7 @@ def replay_source(
     nonmonotonic: str = "skip",
     recorder: Recorder = NULL_RECORDER,
 ) -> Iterator[Observation]:
-    """One CSI Tool ``.dat`` capture as a streaming observation source.
-
-    Combine several captures (one per client) into one interleaved
-    stream with :func:`repro.stream.sources.merge_sources`.
-    """
+    """One CSI Tool ``.dat`` capture as a streaming observation source."""
     records = read_csitool_log(path)
     return iter(
         records_to_observations(

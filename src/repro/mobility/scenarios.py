@@ -167,14 +167,3 @@ def circular_scenario(
         trajectory=CircularTrajectory(center=center, radius=radius),
         environment=EnvironmentProcess.from_activity(EnvironmentActivity.NONE),
     )
-
-
-def all_core_scenarios(client_position: Point, seed: SeedLike = None) -> List[MobilityScenario]:
-    """The four Table-1 scenarios rooted at one client location."""
-    rng = ensure_rng(seed)
-    return [
-        static_scenario(client_position),
-        environmental_scenario(client_position, EnvironmentActivity.STRONG),
-        micro_scenario(client_position, seed=rng),
-        macro_scenario(client_position, seed=rng),
-    ]

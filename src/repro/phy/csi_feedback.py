@@ -64,14 +64,3 @@ def feedback_airtime_s(
         + timing.sifs_s
         + timing.ack_duration_s
     )
-
-
-def feedback_overhead_fraction(
-    period_s: float,
-    config: CSIFeedbackConfig = CSIFeedbackConfig(),
-    timing: MacTiming = None,
-) -> float:
-    """Fraction of airtime spent on feedback at a given feedback period."""
-    if period_s <= 0:
-        raise ValueError("feedback period must be positive")
-    return min(1.0, feedback_airtime_s(config, timing) / period_s)

@@ -93,8 +93,3 @@ def atheros_usable_mcs() -> Tuple[int, ...]:
 def single_stream_mcs() -> Tuple[int, ...]:
     """MCS 0-7: the ladder for rank-one links (TxBF, single-antenna rx)."""
     return (0, 1, 2, 3, 4, 5, 6, 7)
-
-
-def max_rate_mbps(bandwidth_hz: float = 40e6, short_gi: bool = False) -> float:
-    """Highest PHY rate available on this link configuration."""
-    return max(m.rate_mbps(bandwidth_hz, short_gi) for m in MCS_TABLE)

@@ -5,13 +5,13 @@ preparation (Section 3.1) also uses the client's *distance* to neighbour
 APs ("compute the client's distance, RSSI and heading information towards
 themselves"), and the underlying ranging quality is what [4] (CUPID/SAIL)
 characterises.  This module turns raw ToF readings into calibrated
-distance estimates and quantifies their error.
+distance estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,44 +84,3 @@ class ToFRangeEstimator:
 
     def reset(self) -> None:
         self._median.reset()
-
-
-@dataclass
-class RangingErrorStats:
-    """Error summary of a ranging evaluation run."""
-
-    median_abs_error_m: float
-    p90_abs_error_m: float
-    bias_m: float
-    n_estimates: int
-
-
-def evaluate_ranging(
-    estimator: ToFRangeEstimator,
-    readings: Sequence[float],
-    true_distances_m: Sequence[float],
-) -> RangingErrorStats:
-    """Feed readings through the estimator and score against ground truth.
-
-    ``true_distances_m`` must align with ``readings`` (one per reading);
-    each estimate is scored against the mean true distance over its batch.
-    """
-    if len(readings) != len(true_distances_m):
-        raise ValueError("readings and ground truth must align")
-    errors: List[float] = []
-    batch_truth: List[float] = []
-    for reading, truth in zip(readings, true_distances_m):
-        batch_truth.append(float(truth))
-        estimate = estimator.push(float(reading))
-        if estimate is not None:
-            errors.append(estimate.distance_m - float(np.mean(batch_truth)))
-            batch_truth.clear()
-    if not errors:
-        raise ValueError("not enough readings for a single estimate")
-    arr = np.asarray(errors)
-    return RangingErrorStats(
-        median_abs_error_m=float(np.median(np.abs(arr))),
-        p90_abs_error_m=float(np.percentile(np.abs(arr), 90)),
-        bias_m=float(np.mean(arr)),
-        n_estimates=len(errors),
-    )

@@ -83,8 +83,9 @@ class ToFSampler:
         distance = np.atleast_1d(np.asarray(distance_m, dtype=float))
         if np.any(distance < 0):
             raise ValueError("distances must be non-negative")
-        clean = 2.0 * distance / SPEED_OF_LIGHT * cfg.clock_hz + cfg.turnaround_cycles
-        readings = clean + self._rng.normal(0.0, cfg.noise_std_cycles, size=distance.shape)
+        readings = tof_cycles_for_distance(distance, cfg) + self._rng.normal(
+            0.0, cfg.noise_std_cycles, size=distance.shape
+        )
         if cfg.outlier_probability > 0.0:
             outliers = self._rng.random(distance.shape) < cfg.outlier_probability
             late = np.abs(self._rng.normal(0.0, cfg.outlier_std_cycles, size=distance.shape))

@@ -4,7 +4,7 @@ from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.base import LadderMixin, PhyFeedback, RateAdapter
 from repro.rate.esnr import ESNRRate
 from repro.rate.mobility_aware import MobilityAwareAtherosRA
-from repro.rate.oracle import OracleRate, optimal_rate_hold_times, optimal_rate_series
+from repro.rate.oracle import optimal_rate_hold_times, optimal_rate_series
 from repro.rate.rapidsample import HintAwareRateControl, RapidSample
 from repro.rate.samplerate import SampleRate
 from repro.rate.simulator import RateRunResult, simulate_rate_control
@@ -16,7 +16,6 @@ __all__ = [
     "HintAwareRateControl",
     "LadderMixin",
     "MobilityAwareAtherosRA",
-    "OracleRate",
     "PhyFeedback",
     "RapidSample",
     "RateAdapter",

@@ -1,8 +1,7 @@
-"""Oracle rate selection — knows the true instantaneous SNR.
+"""Oracle rate extraction — the optimal rate for the true instantaneous SNR.
 
 Used for the Fig. 8 optimal-rate dynamics study (the paper extracts the
-optimal bit-rate from traces, "similar to [9]") and as an upper bound in
-rate-control comparisons.
+optimal bit-rate from traces, "similar to [9]").
 """
 
 from __future__ import annotations
@@ -12,46 +11,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.channel.model import ChannelTrace
-from repro.mac.aggregation import AggregatedFrameResult
 from repro.phy.error import ErrorModel
 from repro.phy.mcs import atheros_usable_mcs
-from repro.rate.base import PhyFeedback, RateAdapter
-
-
-class OracleRate(RateAdapter):
-    """Always transmits at the throughput-optimal rate for the true SNR."""
-
-    name = "oracle"
-
-    def __init__(
-        self,
-        trace: ChannelTrace,
-        error_model: ErrorModel = ErrorModel(),
-        ladder: Optional[Sequence[int]] = None,
-        bandwidth_hz: float = 40e6,
-    ) -> None:
-        self._trace = trace
-        self._error_model = error_model
-        self._ladder = tuple(ladder or atheros_usable_mcs())
-        self._bandwidth_hz = bandwidth_hz
-
-    def select(self, now_s: float) -> int:
-        index = int(np.searchsorted(self._trace.times, now_s, side="right") - 1)
-        index = min(max(index, 0), len(self._trace) - 1)
-        return self._error_model.best_mcs(
-            float(self._trace.snr_db[index]),
-            mimo_condition_db=float(self._trace.mimo_condition_db[index]),
-            bandwidth_hz=self._bandwidth_hz,
-            candidates=self._ladder,
-        )
-
-    def observe(
-        self,
-        now_s: float,
-        result: AggregatedFrameResult,
-        feedback: Optional[PhyFeedback] = None,
-    ) -> None:
-        """The oracle has nothing to learn."""
 
 
 def optimal_rate_series(

@@ -11,7 +11,6 @@ from repro.roaming.schemes import (
     DefaultClientRoaming,
     SensorHintRoaming,
     StickToFirstAp,
-    StrongestApOracle,
 )
 from repro.roaming.simulator import RoamingRunResult, RoamingSession
 
@@ -25,5 +24,4 @@ __all__ = [
     "RoamingSession",
     "SensorHintRoaming",
     "StickToFirstAp",
-    "StrongestApOracle",
 ]

@@ -21,23 +21,6 @@ class StickToFirstAp(RoamingScheme):
         return RoamingDecision()
 
 
-class StrongestApOracle(RoamingScheme):
-    """Roams to the strongest AP instantly and for free.
-
-    Not a deployable scheme: it is the 'dynamically switching to the
-    strongest AP' upper bound used to compute the Fig. 7(a) gains.
-    """
-
-    name = "strongest-oracle"
-
-    def decide(self, ctx: RoamingContext) -> RoamingDecision:
-        report = ctx.neighbor_report()
-        best = max(report, key=lambda ap: report[ap].rssi_dbm)
-        if best != ctx.current_ap and report[best].rssi_dbm > ctx.current_rssi_dbm():
-            return RoamingDecision(target_ap=best, forced=True)
-        return RoamingDecision()
-
-
 class DefaultClientRoaming(RoamingScheme):
     """Standard client behaviour: scan only when the serving AP gets weak.
 

@@ -451,13 +451,13 @@ class SimulationEngine:
         """Build an engine serving one session per client trajectory.
 
         All client channels are evaluated on the shared grid in **one**
-        batched :meth:`MultiLinkChannel.evaluate_many` call (falling back
-        to the scalar path only for a single client), then
-        ``session_factory(client_index, trace)`` builds each session.
-        A live ``recorder`` observes the channel evaluation too (batch
-        size and wall time surface as ``channel_batch`` events) — bound to
-        the channel only for the duration of the evaluation, so the
-        caller's channel comes back exactly as it went in.  ``supervisor``
+        :meth:`MultiLinkChannel.evaluate_many` call, a single client
+        included, then ``session_factory(client_index, trace)`` builds
+        each session.  A live ``recorder`` observes the channel
+        evaluation too (batch size and wall time surface as a
+        ``channel_batch`` event, ``channel_eval`` for a single client) —
+        bound to the channel only for the duration of the evaluation, so
+        the caller's channel comes back exactly as it went in.  ``supervisor``
         selects the run's failure policy (see
         :class:`repro.sim.SupervisorConfig`).
         """
@@ -480,10 +480,7 @@ class SimulationEngine:
         if bind:
             channel.recorder = shield(recorder)
         try:
-            if len(trajectories) > 1:
-                traces = channel.evaluate_many(times, positions, include_h=include_h)
-            else:
-                traces = [channel.links[0].evaluate(times, positions[0], include_h=include_h)]
+            traces = channel.evaluate_many(times, positions, include_h=include_h)
         finally:
             if bind:
                 channel.recorder = original_recorder

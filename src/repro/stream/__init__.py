@@ -30,7 +30,7 @@ from repro.stream.checkpoint import (
     restore_router,
     save_checkpoint,
 )
-from repro.stream.observations import KINDS, Observation, csi_observation, tof_observation
+from repro.stream.observations import KINDS, Observation
 from repro.stream.queues import SessionQueue
 from repro.stream.router import (
     BACKPRESSURE_POLICIES,
@@ -39,7 +39,7 @@ from repro.stream.router import (
     StreamingSensingSession,
     StreamRouter,
 )
-from repro.stream.sources import FleetSpec, SimulatedSource, merge_sources
+from repro.stream.sources import FleetSpec, SimulatedSource
 
 __all__ = [
     "BACKPRESSURE_POLICIES",
@@ -56,11 +56,8 @@ __all__ = [
     "StreamRouter",
     "StreamingSensingSession",
     "checkpoint_state",
-    "csi_observation",
     "load_checkpoint",
-    "merge_sources",
     "read_checkpoint_state",
     "restore_router",
     "save_checkpoint",
-    "tof_observation",
 ]

@@ -39,13 +39,3 @@ class Observation:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-
-
-def csi_observation(client: str, time_s: float, matrix: Any) -> Observation:
-    """Convenience constructor for a CSI observation."""
-    return Observation(client=client, time_s=time_s, kind="csi", payload=matrix)
-
-
-def tof_observation(client: str, time_s: float, tof_cycles: float) -> Observation:
-    """Convenience constructor for a ToF observation."""
-    return Observation(client=client, time_s=time_s, kind="tof", payload=float(tof_cycles))

@@ -20,9 +20,8 @@ the router's job (:mod:`repro.stream.router`).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -163,25 +162,3 @@ class SimulatedSource:
         events.sort(key=lambda e: (e[0], e[1], e[2]))
         for _, _, _, observation in events:
             yield observation
-
-
-def merge_sources(sources: Sequence[Iterator[Observation]]) -> Iterator[Observation]:
-    """Merge already-time-ordered sources into one time-ordered stream.
-
-    A k-way merge on ``time_s`` (ties broken by source order), for
-    feeding one router from several replay files or generators.
-    """
-    heap: List[Tuple[float, int, int, Observation]] = []
-    iters = [iter(source) for source in sources]
-    for j, it in enumerate(iters):
-        first = next(it, None)
-        if first is not None:
-            heapq.heappush(heap, (first.time_s, j, 0, first))
-    counters = [1] * len(iters)
-    while heap:
-        _, j, _, observation = heapq.heappop(heap)
-        yield observation
-        nxt = next(iters[j], None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt.time_s, j, counters[j], nxt))
-            counters[j] += 1

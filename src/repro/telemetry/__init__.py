@@ -39,7 +39,7 @@ from repro.telemetry.metrics import (
     HistogramMetric,
     MetricsRegistry,
 )
-from repro.telemetry.profiler import RunProfile, Timer
+from repro.telemetry.profiler import RunProfile
 from repro.telemetry.recorder import (
     NULL_RECORDER,
     NullRecorder,
@@ -62,7 +62,6 @@ __all__ = [
     "RunProfile",
     "ShieldedRecorder",
     "TelemetryRecorder",
-    "Timer",
     "TraceEvent",
     "Tracer",
     "events_to_jsonl",

@@ -139,8 +139,8 @@ REGISTRY: Tuple[TelemetryName, ...] = (
     TelemetryName(_H, "stream.step_s", "wall time of one router pump that ran >= 1 step (engine steps + evictions)"),
     # --------------------------------------------------------------- events
     TelemetryName(_E, "adaptation", "a session applied a decision (handoff/scan/hint_applied)"),
-    TelemetryName(_E, "channel_batch", "one batched MultiLinkChannel.evaluate_many call"),
-    TelemetryName(_E, "channel_eval", "one scalar LinkChannel evaluation"),
+    TelemetryName(_E, "channel_batch", "one channel evaluation of several links"),
+    TelemetryName(_E, "channel_eval", "one channel evaluation of a single link"),
     TelemetryName(_E, "checkpoint_rejected", "the recovery scan refused a corrupt checkpoint artifact"),
     TelemetryName(_E, "classifier_verdict", "one classifier decision (mode/heading/similarity)"),
     TelemetryName(_E, "controller_ap_down", "the controller quarantined an AP (ap/reason/evacuees)"),

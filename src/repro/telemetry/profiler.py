@@ -8,25 +8,7 @@ go" without any external profiler.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
-
-
-class Timer:
-    """A tiny context-manager stopwatch (``with Timer() as t: ...``)."""
-
-    def __init__(self) -> None:
-        self.elapsed_s = 0.0
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._start is not None:
-            self.elapsed_s += time.perf_counter() - self._start
-        self._start = None
+from typing import Dict
 
 
 class RunProfile:

@@ -30,7 +30,7 @@ class Recorder:
     * :meth:`event` — structured trace event (run/classifier/adaptation);
     * :meth:`count` / :meth:`gauge` / :meth:`observe` — metrics;
     * :meth:`phase_time` — one engine phase of one step took ``elapsed_s``;
-    * :meth:`channel_eval` — one channel evaluation (scalar or batched).
+    * :meth:`channel_eval` — one channel evaluation of ``batch_size`` links.
     """
 
     #: Instrumentation points check this before doing any work beyond the
@@ -70,10 +70,11 @@ class Recorder:
         n_samples: int,
         elapsed_s: float,
         time_s: float = 0.0,
-        batched: bool = False,
     ) -> None:
         """One channel evaluation: ``batch_size`` links over ``n_samples``
-        grid samples through kernel ``op``."""
+        grid samples through kernel ``op``.  Live recorders trace it as a
+        ``channel_batch`` event for more than one link, else as
+        ``channel_eval``."""
 
 
 class NullRecorder(Recorder):
@@ -172,14 +173,11 @@ class ShieldedRecorder(Recorder):
         n_samples: int,
         elapsed_s: float,
         time_s: float = 0.0,
-        batched: bool = False,
     ) -> None:
         if not self.enabled:
             return
         try:
-            self.inner.channel_eval(
-                op, batch_size, n_samples, elapsed_s, time_s=time_s, batched=batched
-            )
+            self.inner.channel_eval(op, batch_size, n_samples, elapsed_s, time_s=time_s)
         except Exception as exc:  # noqa: BLE001
             self._note(exc)
 
@@ -260,12 +258,11 @@ class TelemetryRecorder(Recorder):
         n_samples: int,
         elapsed_s: float,
         time_s: float = 0.0,
-        batched: bool = False,
     ) -> None:
         self.profile.add_channel(op, elapsed_s)
         self.metrics.count(f"channel.{op}.calls")
         self.metrics.observe("channel.elapsed_s", elapsed_s)
-        kind = "channel_batch" if batched else "channel_eval"
+        kind = "channel_batch" if batch_size > 1 else "channel_eval"
         self.tracer.emit(
             kind,
             time_s,

@@ -11,16 +11,10 @@ from repro.util.filters import (
     MovingWindow,
     SlidingStatistics,
 )
-from repro.util.geometry import Point, distance, heading_between, project_along
-from repro.util.rng import child_rng, ensure_rng, spawn_rngs
-from repro.util.stats import EmpiricalCDF, fraction, percentile_summary
-from repro.util.units import (
-    SPEED_OF_LIGHT,
-    db_to_linear,
-    dbm_to_milliwatts,
-    linear_to_db,
-    milliwatts_to_dbm,
-)
+from repro.util.geometry import Point, distance, heading_between
+from repro.util.rng import ensure_rng, spawn_rngs
+from repro.util.stats import EmpiricalCDF
+from repro.util.units import SPEED_OF_LIGHT
 
 __all__ = [
     "EmpiricalCDF",
@@ -30,16 +24,8 @@ __all__ = [
     "Point",
     "SPEED_OF_LIGHT",
     "SlidingStatistics",
-    "child_rng",
-    "db_to_linear",
-    "dbm_to_milliwatts",
     "distance",
     "ensure_rng",
-    "fraction",
     "heading_between",
-    "linear_to_db",
-    "milliwatts_to_dbm",
-    "percentile_summary",
-    "project_along",
     "spawn_rngs",
 ]

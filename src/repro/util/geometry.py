@@ -38,32 +38,3 @@ def distance(a: Point, b: Point) -> float:
 def heading_between(a: Point, b: Point) -> float:
     """Heading (radians, from +x axis, counter-clockwise) of travel a -> b."""
     return math.atan2(b.y - a.y, b.x - a.x)
-
-
-def project_along(origin: Point, heading_rad: float, length: float) -> Point:
-    """Point reached by walking ``length`` metres from ``origin`` along a heading."""
-    return Point(
-        origin.x + length * math.cos(heading_rad),
-        origin.y + length * math.sin(heading_rad),
-    )
-
-
-def radial_speed(position: Point, velocity: Tuple[float, float], anchor: Point) -> float:
-    """Rate of change of distance from ``anchor`` (positive = moving away).
-
-    This is the quantity ToF tracks: the projection of velocity onto the
-    anchor->position unit vector.
-    """
-    dx = position.x - anchor.x
-    dy = position.y - anchor.y
-    dist = math.hypot(dx, dy)
-    if dist == 0.0:
-        return 0.0
-    return (velocity[0] * dx + velocity[1] * dy) / dist
-
-
-def clamp_to_rect(point: Point, x_min: float, y_min: float, x_max: float, y_max: float) -> Point:
-    """Clamp ``point`` into an axis-aligned rectangle."""
-    if x_min > x_max or y_min > y_max:
-        raise ValueError("rectangle bounds are inverted")
-    return Point(min(max(point.x, x_min), x_max), min(max(point.y, y_min), y_max))

@@ -26,11 +26,6 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def child_rng(rng: np.random.Generator) -> np.random.Generator:
-    """Derive a single independent child generator from ``rng``."""
-    return spawn_rngs(rng, 1)[0]
-
-
 def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
     """Derive ``count`` independent generators from ``seed``.
 

@@ -7,7 +7,7 @@ common currency between ``repro.experiments`` and the benchmark printers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -64,33 +64,6 @@ class EmpiricalCDF:
             return [(float(v), (i + 1) / n) for i, v in enumerate(data)]
         idx = np.linspace(0, n - 1, points).astype(int)
         return [(float(data[i]), (i + 1) / n) for i in idx]
-
-
-def fraction(predicate_hits: int, total: int) -> float:
-    """Safe ratio; raises on empty denominators instead of returning NaN."""
-    if total <= 0:
-        raise ValueError(f"total must be positive, got {total}")
-    if predicate_hits < 0 or predicate_hits > total:
-        raise ValueError(f"hits {predicate_hits} outside [0, {total}]")
-    return predicate_hits / total
-
-
-def percentile_summary(samples: Sequence[float], label: str = "") -> Dict[str, float]:
-    """Five-number-ish summary used by the benchmark row printers."""
-    if len(samples) == 0:
-        raise ValueError("cannot summarise an empty sample")
-    arr = np.asarray(samples, dtype=float)
-    summary = {
-        "p10": float(np.percentile(arr, 10)),
-        "p25": float(np.percentile(arr, 25)),
-        "median": float(np.percentile(arr, 50)),
-        "p75": float(np.percentile(arr, 75)),
-        "p90": float(np.percentile(arr, 90)),
-        "mean": float(np.mean(arr)),
-    }
-    if label:
-        summary["label"] = label  # type: ignore[assignment]
-    return summary
 
 
 def format_cdf_rows(cdfs: Dict[str, EmpiricalCDF], header: str) -> str:

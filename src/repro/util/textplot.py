@@ -8,7 +8,7 @@ they are safe to embed in benchmark reports and CI logs.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
@@ -89,51 +89,4 @@ def render_bars(
     for name, value in values.items():
         bar = "#" * max(1, int(round(width * value / maximum))) if value > 0 else ""
         lines.append(f"{name:<{label_width}}  {bar} {value:.1f}{unit}")
-    return "\n".join(lines)
-
-
-def render_series(
-    series: Dict[str, Sequence[float]],
-    x_values: Sequence[float],
-    title: str = "",
-    width: int = 64,
-    height: int = 14,
-) -> str:
-    """Render named y-series over shared x values (Fig. 2(a)-style curves)."""
-    if not series:
-        raise ValueError("need at least one series")
-    x = np.asarray(x_values, dtype=float)
-    pooled = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    y_min, y_max = float(np.min(pooled)), float(np.max(pooled))
-    if y_max - y_min < 1e-12:
-        y_max = y_min + 1.0
-    x_min, x_max = float(np.min(x)), float(np.max(x))
-    if x_max - x_min < 1e-12:
-        x_max = x_min + 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for series_index, (name, values) in enumerate(series.items()):
-        marker = SERIES_MARKERS[series_index % len(SERIES_MARKERS)]
-        y = np.asarray(values, dtype=float)
-        if len(y) != len(x):
-            raise ValueError(f"series {name!r} length disagrees with x values")
-        for xi, yi in zip(x, y):
-            column = int(round((xi - x_min) / (x_max - x_min) * (width - 1)))
-            row = height - 1 - int(round((yi - y_min) / (y_max - y_min) * (height - 1)))
-            if grid[row][column] == " ":
-                grid[row][column] = marker
-
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{y_max:8.3g} +" + "".join(grid[0]))
-    for row in grid[1:-1]:
-        lines.append("         |" + "".join(row))
-    lines.append(f"{y_min:8.3g} +" + "".join(grid[-1]))
-    lines.append("          " + "-" * width)
-    legend = "   ".join(
-        f"{SERIES_MARKERS[i % len(SERIES_MARKERS)]} {name}"
-        for i, name in enumerate(series)
-    )
-    lines.append("          " + legend)
     return "\n".join(lines)

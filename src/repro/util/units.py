@@ -2,40 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
-
-#: dB/power conversions accept scalars or arrays and return the matching kind.
-ArrayOrFloat = Union[float, np.ndarray]
 
 #: Speed of light in metres per second (used by ToF <-> distance conversion).
 SPEED_OF_LIGHT = 299_792_458.0
 
 #: Thermal noise power spectral density at 290 K, in dBm/Hz.
 THERMAL_NOISE_DBM_PER_HZ = -174.0
-
-
-def db_to_linear(db: ArrayOrFloat) -> np.ndarray:
-    """Convert a power ratio from dB to linear scale."""
-    return np.power(10.0, np.asarray(db, dtype=float) / 10.0)
-
-
-def linear_to_db(linear: ArrayOrFloat) -> np.ndarray:
-    """Convert a linear power ratio to dB.  Zero/negative inputs map to -inf."""
-    arr = np.asarray(linear, dtype=float)
-    with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(arr)
-
-
-def dbm_to_milliwatts(dbm: ArrayOrFloat) -> np.ndarray:
-    """Convert dBm to milliwatts."""
-    return db_to_linear(dbm)
-
-
-def milliwatts_to_dbm(milliwatts: ArrayOrFloat) -> np.ndarray:
-    """Convert milliwatts to dBm.  Zero maps to -inf."""
-    return linear_to_db(milliwatts)
 
 
 def noise_floor_dbm(bandwidth_hz: float, noise_figure_db: float = 7.0) -> float:

@@ -19,7 +19,7 @@ from repro.wlan.stack import (
     default_stack,
     mobility_aware_stack,
 )
-from repro.wlan.traffic import TcpModel, udp_throughput_mbps
+from repro.wlan.traffic import TcpModel
 
 __all__ = [
     "Floorplan",
@@ -37,5 +37,4 @@ __all__ = [
     "default_stack",
     "grid_floorplan",
     "mobility_aware_stack",
-    "udp_throughput_mbps",
 ]

@@ -90,11 +90,3 @@ def grid_floorplan(
             2 * margin_m + (ny - 1) * spacing_m,
         ),
     )
-
-
-def single_ap_floorplan(ap: Point = Point(0.0, 0.0), extent: float = 40.0) -> Floorplan:
-    """One AP centred in a square floor — the classifier experiments."""
-    return Floorplan(
-        ap_positions=(ap,),
-        bounds=(ap.x - extent / 2, ap.y - extent / 2, ap.x + extent / 2, ap.y + extent / 2),
-    )

@@ -97,10 +97,8 @@ class MultiApChannel:
         the trajectory grid); ``include_h_for`` lists AP indices that need
         full CSI (e.g. only the classifier's serving AP) to bound memory.
 
-        Evaluation goes through :class:`MultiLinkChannel`; the scalar
-        kernel (``batched=False``) is kept here so that every seeded
-        paper-facing result stays bit-identical to the historical per-link
-        evaluation order.
+        All AP links run through one :meth:`MultiLinkChannel.evaluate_many`
+        call; each link's trace is the one it would give alone.
         """
         stride = max(1, int(round(sample_interval_s / trajectory.dt)))
         times = trajectory.times[::stride]
@@ -110,6 +108,5 @@ class MultiApChannel:
             [positions] * len(self._batch),
             include_h=include_h,
             include_h_for=include_h_for,
-            batched=False,
         )
         return MultiApTraces(floorplan=self.floorplan, trajectory=trajectory, traces=traces)

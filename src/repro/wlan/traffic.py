@@ -1,8 +1,9 @@
-"""Traffic models: saturated UDP and a simplified TCP downlink.
+"""Traffic model: a simplified TCP downlink.
 
 The paper evaluates with iperf UDP (roaming, overall system) and download
-TCP (rate adaptation, aggregation, beamforming).  For reproduction shape,
-the key TCP effects are: (1) acknowledgement/protocol overhead, and
+TCP (rate adaptation, aggregation, beamforming).  Saturated UDP goodput is
+the MAC goodput timeline itself.  For reproduction shape, the key TCP
+effects are: (1) acknowledgement/protocol overhead, and
 (2) throughput collapse across outages (handoffs) followed by a recovery
 ramp (slow start) — TCP cannot instantly refill the pipe after a gap.
 """
@@ -12,14 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def udp_throughput_mbps(goodput_timeline_mbps: np.ndarray) -> float:
-    """Saturated UDP: the mean of the MAC goodput timeline."""
-    timeline = np.asarray(goodput_timeline_mbps, dtype=float)
-    if timeline.size == 0:
-        raise ValueError("empty timeline")
-    return float(np.mean(timeline))
 
 
 @dataclass(frozen=True)

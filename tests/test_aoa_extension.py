@@ -3,34 +3,15 @@
 import math
 
 import numpy as np
-import pytest
 
 from repro.core.aoa_extension import (
     AoAAugmentedDetector,
     AoAConfig,
     AoASampler,
     AoATrendDetector,
-    estimate_aoa,
 )
 from repro.core.tof_trend import ToFTrend, ToFTrendConfig
 from repro.phy.tof import ToFConfig, ToFSampler
-
-
-class TestEstimateAoA:
-    def test_recovers_steering_angle(self):
-        for true_angle in (-0.8, -0.2, 0.0, 0.35, 1.0):
-            m = np.arange(3)
-            h = np.exp(-1j * math.pi * m * math.sin(true_angle))
-            assert estimate_aoa(h) == pytest.approx(true_angle, abs=1e-6)
-
-    def test_robust_to_common_gain(self):
-        m = np.arange(3)
-        h = 3.7 * np.exp(1j * 0.9) * np.exp(-1j * math.pi * m * math.sin(0.4))
-        assert estimate_aoa(h) == pytest.approx(0.4, abs=1e-6)
-
-    def test_needs_two_elements(self):
-        with pytest.raises(ValueError):
-            estimate_aoa(np.array([1.0 + 0j]))
 
 
 class TestAoATrendDetector:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.classifier import ClassifierConfig, MobilityClassifier
 from repro.core.hints import MobilityEstimate
-from repro.core.policy import default_policy_table, mobility_oblivious_policy
+from repro.core.policy import default_policy_table
 from repro.core.tof_trend import ToFTrendConfig
 from repro.mobility.modes import Heading, MobilityMode
 from repro.telemetry import TelemetryRecorder
@@ -382,9 +382,3 @@ class TestPolicyTable:
         static = table.lookup(MobilityMode.STATIC).su_bf_feedback_ms
         macro = table.lookup(MobilityMode.MACRO, Heading.AWAY).su_bf_feedback_ms
         assert macro < static
-
-    def test_oblivious_defaults(self):
-        policy = mobility_oblivious_policy()
-        assert policy.per_smoothing_factor == pytest.approx(1 / 8)
-        assert policy.aggregation_limit_ms == 4.0
-        assert policy.rate_retries == 0

@@ -1,10 +1,8 @@
-"""Tests for trace persistence and the CSI Tool format adapter."""
+"""Tests for the CSI Tool format adapter and its CSI stream."""
 
 import numpy as np
 import pytest
 
-from repro.channel.config import ChannelConfig
-from repro.channel.model import LinkChannel
 from repro.core.classifier import MobilityClassifier
 from repro.io.csitool import (
     N_SUBCARRIERS,
@@ -13,60 +11,6 @@ from repro.io.csitool import (
     records_to_csi_stream,
     write_csitool_log,
 )
-from repro.io.traces import FORMAT_VERSION, load_trace, save_trace
-from repro.mobility.trajectory import StaticTrajectory
-from repro.testing import synthetic_trace
-from repro.util.geometry import Point
-
-
-class TestTracePersistence:
-    def test_roundtrip_without_csi(self, tmp_path):
-        trace = synthetic_trace(snr_db=lambda t: 20.0 + t, duration_s=3.0)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert np.array_equal(loaded.times, trace.times)
-        assert np.array_equal(loaded.snr_db, trace.snr_db)
-        assert loaded.h is None
-
-    def test_roundtrip_with_csi(self, tmp_path):
-        trajectory = StaticTrajectory(Point(10, 5)).sample(2.0, 0.1)
-        link = LinkChannel(Point(0, 0), ChannelConfig(), seed=1)
-        trace = link.evaluate(trajectory.times, trajectory.positions, include_h=True)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert np.array_equal(loaded.h, trace.h)
-        assert np.array_equal(loaded.effective_snr_db, trace.effective_snr_db)
-
-    def test_version_check(self, tmp_path):
-        trace = synthetic_trace(duration_s=1.0)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        # Corrupt the version field.
-        with np.load(path) as data:
-            payload = {k: data[k] for k in data.files}
-        payload["format_version"] = np.array(FORMAT_VERSION + 1)
-        np.savez_compressed(path, **payload)
-        with pytest.raises(ValueError):
-            load_trace(path)
-
-    def test_loaded_trace_usable_by_simulator(self, tmp_path):
-        from repro.mac.aggregation import FrameTransmitter
-        from repro.rate.atheros import AtherosRateAdaptation
-        from repro.rate.simulator import simulate_rate_control
-
-        trace = synthetic_trace(snr_db=25.0, duration_s=3.0)
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        result = simulate_rate_control(
-            AtherosRateAdaptation(),
-            loaded,
-            transmitter=FrameTransmitter(seed=2),
-            perturbations=None,
-        )
-        assert result.throughput_mbps > 10.0
 
 
 def _make_record(rng, timestamp=1000, n_tx=2, n_rx=3) -> CsiRecord:
@@ -292,57 +236,3 @@ class TestCsiStream:
 
         assert estimate is not None
         assert estimate.mode == MobilityMode.STATIC  # a stable real-format log
-
-
-class TestMultiApPersistence:
-    def test_roundtrip(self, tmp_path):
-        from repro.io.traces import load_multi, save_multi
-        from repro.mobility.trajectory import StaticTrajectory
-        from repro.wlan.floorplan import default_office_floorplan
-        from repro.wlan.multilink import MultiApChannel
-        from repro.util.geometry import Point
-
-        trajectory = StaticTrajectory(Point(10, 10)).sample(2.0, 0.05)
-        multi = MultiApChannel(default_office_floorplan(), seed=30).evaluate(
-            trajectory, sample_interval_s=0.2, include_h_for=[0]
-        )
-        path = tmp_path / "walk.npz"
-        save_multi(multi, path)
-        loaded = load_multi(path)
-        assert loaded.floorplan.n_aps == 6
-        assert np.array_equal(loaded.times, multi.times)
-        assert np.array_equal(loaded.traces[0].h, multi.traces[0].h)
-        assert loaded.traces[1].h is None
-        assert np.array_equal(
-            loaded.trajectory.positions, multi.trajectory.positions
-        )
-
-    def test_loaded_bundle_usable_by_roaming(self, tmp_path):
-        from repro.io.traces import load_multi, save_multi
-        from repro.mobility.trajectory import WaypointWalkTrajectory
-        from repro.roaming.schemes import DefaultClientRoaming
-        from repro.roaming.simulator import RoamingSession
-        from repro.sim import SimulationEngine, TimeGrid
-        from repro.wlan.floorplan import default_office_floorplan
-        from repro.wlan.multilink import MultiApChannel
-        from repro.util.geometry import Point
-
-        trajectory = WaypointWalkTrajectory(
-            Point(5, 5), area=(2, 2, 38, 23), seed=31
-        ).sample(10.0, 0.02)
-        multi = MultiApChannel(default_office_floorplan(), seed=31).evaluate(
-            trajectory, sample_interval_s=0.1
-        )
-        path = tmp_path / "walk.npz"
-        save_multi(multi, path)
-        loaded = load_multi(path)
-        engine = SimulationEngine(TimeGrid(loaded.times))
-        session = engine.add(RoamingSession(loaded, DefaultClientRoaming(), seed=32))
-        result = engine.run()[session.client]
-        assert result.mean_throughput_mbps > 0.0
-
-    def test_type_validated(self, tmp_path):
-        from repro.io.traces import save_multi
-
-        with pytest.raises(TypeError):
-            save_multi(object(), tmp_path / "x.npz")

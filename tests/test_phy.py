@@ -8,7 +8,6 @@ from repro.phy.csi_feedback import (
     CSIFeedbackConfig,
     feedback_airtime_s,
     feedback_bytes,
-    feedback_overhead_fraction,
 )
 from repro.phy.error import ErrorModel, sinr_with_stale_estimate
 from repro.phy.mcs import MCS_TABLE, atheros_usable_mcs, mcs_by_index, single_stream_mcs
@@ -193,21 +192,10 @@ class TestCsiFeedback:
         transmit_only = feedback_bytes(cfg) * 8 / (cfg.feedback_rate_mbps * 1e6)
         assert airtime > transmit_only
 
-    def test_overhead_fraction(self):
-        cfg = CSIFeedbackConfig()
-        fast = feedback_overhead_fraction(0.020, cfg)
-        slow = feedback_overhead_fraction(2.0, cfg)
-        assert fast > slow
-        assert 0.0 < slow < fast <= 1.0
-
     def test_more_antennas_bigger_report(self):
         small = feedback_bytes(CSIFeedbackConfig(n_tx=2))
         large = feedback_bytes(CSIFeedbackConfig(n_tx=4))
         assert large > small
-
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            feedback_overhead_fraction(0.0)
 
     def test_timing_defaults_sane(self):
         timing = MacTiming()

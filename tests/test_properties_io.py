@@ -1,14 +1,10 @@
 """Property-based tests for IO formats and additional invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aoa_extension import estimate_aoa
 from repro.io.csitool import N_SUBCARRIERS, CsiRecord, read_csitool_log, write_csitool_log
-from repro.io.traces import load_trace, save_trace
-from repro.testing import synthetic_trace
 from repro.util.textplot import render_bars, render_cdf
 from repro.util.stats import EmpiricalCDF
 
@@ -69,44 +65,6 @@ class TestCsiToolRoundTrip:
         assert got.antenna_sel == record.antenna_sel
         assert got.rate == record.rate
         assert np.array_equal(got.csi, record.csi)
-
-
-class TestTraceRoundTrip:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        snr=st.floats(min_value=-10.0, max_value=45.0),
-        duration=st.floats(min_value=0.5, max_value=5.0),
-    )
-    def test_save_load_identity(self, snr, duration):
-        import tempfile
-        from pathlib import Path
-
-        trace = synthetic_trace(snr_db=snr, duration_s=duration)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.npz"
-            self._check(trace, path)
-
-    @staticmethod
-    def _check(trace, path):
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert np.array_equal(loaded.times, trace.times)
-        assert np.array_equal(loaded.snr_db, trace.snr_db)
-        assert np.array_equal(loaded.doppler_hz, trace.doppler_hz)
-
-
-class TestAoAProperties:
-    @settings(max_examples=40)
-    @given(
-        st.floats(min_value=-1.2, max_value=1.2),
-        st.integers(min_value=2, max_value=6),
-        st.floats(min_value=0.1, max_value=10.0),
-        st.floats(min_value=-3.1, max_value=3.1),
-    )
-    def test_estimate_invariant_to_gain_and_phase(self, angle, n, gain, phase):
-        m = np.arange(n)
-        h = gain * np.exp(1j * phase) * np.exp(-1j * np.pi * m * np.sin(angle))
-        assert estimate_aoa(h) == pytest.approx(angle, abs=1e-6)
 
 
 class TestPlotProperties:

@@ -10,7 +10,7 @@ from repro.mobility.modes import Heading, MobilityMode
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.base import PhyFeedback
 from repro.rate.esnr import ESNRRate
-from repro.rate.oracle import OracleRate, optimal_rate_hold_times, optimal_rate_series
+from repro.rate.oracle import optimal_rate_hold_times, optimal_rate_series
 from repro.rate.rapidsample import HintAwareRateControl, RapidSample
 from repro.rate.samplerate import SampleRate
 from repro.rate.simulator import simulate_rate_control
@@ -142,15 +142,6 @@ class TestESNR:
 
 
 class TestOracle:
-    def test_tracks_snr(self):
-        low = synthetic_trace(snr_db=6.0)
-        high = synthetic_trace(snr_db=34.0, condition_db=0.0)
-        from repro.phy.mcs import mcs_by_index
-
-        low_pick = OracleRate(low).select(1.0)
-        high_pick = OracleRate(high).select(1.0)
-        assert mcs_by_index(high_pick).rate_mbps() > mcs_by_index(low_pick).rate_mbps()
-
     def test_series_constant_on_flat_trace(self):
         trace = synthetic_trace(snr_db=20.0)
         series = optimal_rate_series(trace)

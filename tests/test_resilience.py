@@ -45,12 +45,12 @@ from repro.stream import (
     CorruptCheckpoint,
     FleetSpec,
     HorizonExhausted,
+    Observation,
     SimulatedSource,
     StreamConfig,
     StreamRouter,
     read_checkpoint_state,
     save_checkpoint,
-    tof_observation,
 )
 from repro.telemetry.recorder import TelemetryRecorder
 
@@ -177,7 +177,7 @@ class TestRolloverGolden:
         service.advance(5.0)  # forces rollovers past t=1.5 and t=3.5
         assert service.rollovers >= 1
         assert service.router.late_floor_s is not None
-        stale = tof_observation(LABELS[0], 0.2, 200.0)
+        stale = Observation(LABELS[0], 0.2, "tof", 200.0)
         assert not service.offer(stale)
         assert any(
             m.name == "stream.late" and m.value > 0
@@ -431,7 +431,7 @@ class TestKillRecoverGolden:
 
 class TestSupervisedSource:
     def trace(self, n=10):
-        return [tof_observation("a", 0.1 * (i + 1), 200.0 + i) for i in range(n)]
+        return [Observation("a", 0.1 * (i + 1), "tof", 200.0 + i) for i in range(n)]
 
     def test_clean_source_delivers_everything(self):
         spec = SourceSpec("s", lambda: list(self.trace()), clients=("a",))

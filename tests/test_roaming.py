@@ -12,7 +12,6 @@ from repro.roaming.schemes import (
     DefaultClientRoaming,
     SensorHintRoaming,
     StickToFirstAp,
-    StrongestApOracle,
 )
 from repro.roaming.simulator import RoamingSession
 from repro.sim import SimulationEngine, TimeGrid
@@ -221,24 +220,16 @@ class TestSimulator:
         assert len(result.handoffs) == 0
         assert len(set(result.ap_timeline.tolist())) == 1
 
-    def test_oracle_tracks_strongest(self):
-        trajectory = WaypointWalkTrajectory(Point(5, 5), area=(1, 1, 39, 24), seed=4).sample(
-            30.0, 0.02
-        )
-        multi = self._multi(trajectory)
-        result = self._run(multi, 5, oracle=StrongestApOracle())["oracle"]
-        assert len(result.handoffs) >= 1
-
     def test_handoff_causes_outage(self):
         trajectory = WaypointWalkTrajectory(Point(5, 5), area=(1, 1, 39, 24), seed=6).sample(
             30.0, 0.02
         )
         multi = self._multi(trajectory)
-        result = self._run(multi, 7, oracle=StrongestApOracle())["oracle"]
-        if result.handoffs:
-            event = result.handoffs[0]
-            index = int(np.searchsorted(result.times, event.time_s))
-            assert result.goodput_mbps[index] == 0.0
+        result = self._run(multi, 7, default=DefaultClientRoaming())["default"]
+        assert result.handoffs
+        event = result.handoffs[0]
+        index = int(np.searchsorted(result.times, event.time_s))
+        assert result.goodput_mbps[index] == 0.0
 
     def test_static_client_default_scheme_stable(self):
         trajectory = StaticTrajectory(Point(8, 7)).sample(20.0, 0.02)

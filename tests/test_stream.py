@@ -24,9 +24,6 @@ from repro.stream import (
     SimulatedSource,
     StreamConfig,
     StreamRouter,
-    csi_observation,
-    merge_sources,
-    tof_observation,
 )
 from repro.telemetry.recorder import TelemetryRecorder
 
@@ -72,15 +69,8 @@ class TestObservation:
         with pytest.raises(ValueError, match="kind"):
             Observation("c", 0.0, "rssi", 1.0)
 
-    def test_helpers(self):
-        csi = csi_observation("c", 1.5, np.ones(4))
-        tof = tof_observation("c", 1.5, 200.0)
-        assert csi.kind == "csi" and tof.kind == "tof"
-        assert csi.client == tof.client == "c"
-        assert tof.payload == 200.0
-
     def test_frozen(self):
-        observation = tof_observation("c", 0.0, 1.0)
+        observation = Observation("c", 0.0, "tof", 1.0)
         with pytest.raises(AttributeError):
             observation.time_s = 2.0
 
@@ -252,17 +242,6 @@ class TestStreamVsBatchEquivalence:
         assert estimates_equal(results, live)
         assert estimates_equal(batch_results, live)
 
-    def test_merge_sources_recovers_one_interleaved_stream(self, source):
-        observations = list(source)
-        per_client = {label: [] for label in source.labels}
-        for observation in observations:
-            per_client[observation.client].append(observation)
-        merged = list(merge_sources([iter(v) for v in per_client.values()]))
-        assert len(merged) == len(observations)
-        assert all(
-            merged[i].time_s <= merged[i + 1].time_s for i in range(len(merged) - 1)
-        )
-
 
 def make_router(policy="block", queue_capacity=2, recorder=None, **kwargs):
     recorder = recorder if recorder is not None else TelemetryRecorder()
@@ -280,39 +259,39 @@ def make_router(policy="block", queue_capacity=2, recorder=None, **kwargs):
 class TestBackpressure:
     def test_block_refuses_and_counts(self):
         router, recorder, _ = make_router("block")
-        assert router.offer(tof_observation("a", 0.1, 200.0))
-        assert router.offer(tof_observation("a", 0.12, 200.1))
-        assert not router.offer(tof_observation("a", 0.14, 200.2))
+        assert router.offer(Observation("a", 0.1, "tof", 200.0))
+        assert router.offer(Observation("a", 0.12, "tof", 200.1))
+        assert not router.offer(Observation("a", 0.14, "tof", 200.2))
         assert counter_total(recorder, "stream.blocked", client="a") == 1.0
         assert counter_total(recorder, "stream.accepted", client="a") == 2.0
         assert router.backlog == 2
 
     def test_block_clears_after_advance(self):
         router, _, _ = make_router("block")
-        router.offer(tof_observation("a", 0.1, 200.0))
-        router.offer(tof_observation("a", 0.12, 200.1))
-        assert not router.offer(tof_observation("a", 0.6, 200.2))
+        router.offer(Observation("a", 0.1, "tof", 200.0))
+        router.offer(Observation("a", 0.12, "tof", 200.1))
+        assert not router.offer(Observation("a", 0.6, "tof", 200.2))
         router.advance(0.5)  # drains everything due at/before 0.5
-        assert router.offer(tof_observation("a", 0.6, 200.2))
+        assert router.offer(Observation("a", 0.6, "tof", 200.2))
 
     def test_drop_oldest_accepts_with_bounded_staleness(self):
         router, recorder, _ = make_router("drop_oldest")
         for t in (0.1, 0.12, 0.14):
-            assert router.offer(tof_observation("a", t, 200.0))
+            assert router.offer(Observation("a", t, "tof", 200.0))
         assert counter_total(recorder, "stream.dropped", client="a") == 1.0
         assert router.backlog == 2
 
     def test_shed_session_isolates_the_overloaded_client(self):
         router, recorder, _ = make_router("shed_session")
-        assert router.offer(tof_observation("a", 0.1, 200.0))
-        assert router.offer(tof_observation("a", 0.12, 200.1))
-        assert not router.offer(tof_observation("a", 0.14, 200.2))  # sheds
-        assert not router.offer(tof_observation("a", 0.2, 200.3))  # refused
+        assert router.offer(Observation("a", 0.1, "tof", 200.0))
+        assert router.offer(Observation("a", 0.12, "tof", 200.1))
+        assert not router.offer(Observation("a", 0.14, "tof", 200.2))  # sheds
+        assert not router.offer(Observation("a", 0.2, "tof", 200.3))  # refused
         assert counter_total(recorder, "stream.shed_sessions") == 1.0
         assert counter_total(recorder, "stream.shed", client="a") == 2.0
         assert router.n_active_sessions == 1
         # The healthy session is untouched.
-        assert router.offer(tof_observation("b", 0.2, 199.0))
+        assert router.offer(Observation("b", 0.2, "tof", 199.0))
 
     def test_shed_pushes_safe_default_hint(self):
         hints = []
@@ -325,8 +304,8 @@ class TestBackpressure:
             config=config,
             on_estimate=lambda client, t, estimate: hints.append((client, estimate)),
         )
-        router.offer(tof_observation("a", 0.1, 200.0))
-        router.offer(tof_observation("a", 0.2, 200.1))
+        router.offer(Observation("a", 0.1, "tof", 200.0))
+        router.offer(Observation("a", 0.2, "tof", 200.1))
         assert len(hints) == 1
         client, hint = hints[0]
         assert client == "a"
@@ -338,28 +317,28 @@ class TestBackpressure:
 class TestRejections:
     def test_unknown_client_counted(self):
         router, recorder, _ = make_router()
-        assert not router.offer(tof_observation("nobody", 0.1, 1.0))
+        assert not router.offer(Observation("nobody", 0.1, "tof", 1.0))
         assert counter_total(recorder, "stream.unknown_client") == 1.0
 
     def test_late_observation_refused_after_its_step_ran(self):
         router, recorder, _ = make_router(queue_capacity=16)
         router.advance(0.6)  # steps at 0.0 and 0.5 have run
-        assert not router.offer(csi_observation("a", 0.4, np.ones(4)))
-        assert not router.offer(csi_observation("a", 0.5, np.ones(4)))
-        assert router.offer(csi_observation("a", 0.51, np.ones(4)))
+        assert not router.offer(Observation("a", 0.4, "csi", np.ones(4)))
+        assert not router.offer(Observation("a", 0.5, "csi", np.ones(4)))
+        assert router.offer(Observation("a", 0.51, "csi", np.ones(4)))
         assert counter_total(recorder, "stream.late", client="a") == 2.0
 
     def test_nothing_is_late_before_the_first_step(self):
         router, recorder, _ = make_router(queue_capacity=16)
-        assert router.offer(csi_observation("a", 0.0, np.ones(4)))
+        assert router.offer(Observation("a", 0.0, "csi", np.ones(4)))
         assert counter_total(recorder, "stream.late") == 0.0
 
     @pytest.mark.parametrize("bad_s", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("make", [csi_observation, tof_observation])
-    def test_non_finite_timestamp_refused_and_lane_keeps_flowing(self, make, bad_s):
+    @pytest.mark.parametrize("kind", ["csi", "tof"], ids=["csi_observation", "tof_observation"])
+    def test_non_finite_timestamp_refused_and_lane_keeps_flowing(self, kind, bad_s):
         router, recorder, _ = make_router(queue_capacity=16)
-        payload = np.ones(4) if make is csi_observation else 200.0
-        assert not router.offer(make("a", bad_s, payload))
+        payload = np.ones(4) if kind == "csi" else 200.0
+        assert not router.offer(Observation("a", bad_s, kind, payload))
         assert counter_total(recorder, "stream.invalid_time") == 1.0
         assert counter_total(recorder, "stream.accepted") == 0.0
         assert router.backlog == 0
@@ -368,8 +347,8 @@ class TestRejections:
         for k in range(10):
             t = 0.5 * k
             for client in ("a", "b"):
-                assert router.offer(csi_observation(client, t, np.ones(4)))
-                assert router.offer(tof_observation(client, t, 200.0))
+                assert router.offer(Observation(client, t, "csi", np.ones(4)))
+                assert router.offer(Observation(client, t, "tof", 200.0))
             router.advance(t)
         results = router.results()
         assert len(results["a"]) == len(results["b"]) > 0
@@ -390,7 +369,7 @@ class TestEvictionAndRevival:
             recorder=recorder,
             on_estimate=lambda client, t, e: hints.append((client, t, e)),
         )
-        assert router.offer(csi_observation("a", 0.0, np.ones(4)))
+        assert router.offer(Observation("a", 0.0, "csi", np.ones(4)))
         router.advance(3.0)
         assert router.evicted.all()
         assert router.n_active_sessions == 0
@@ -400,10 +379,10 @@ class TestEvictionAndRevival:
 
     def test_fresh_offer_revives_cold(self):
         router, recorder, _ = make_router(queue_capacity=16, idle_timeout_s=1.0)
-        router.offer(csi_observation("a", 0.0, np.ones(4)))
+        router.offer(Observation("a", 0.0, "csi", np.ones(4)))
         router.advance(3.0)
         assert router.evicted[0]
-        assert router.offer(csi_observation("a", 3.2, np.ones(4)))
+        assert router.offer(Observation("a", 3.2, "csi", np.ones(4)))
         assert not router.evicted[0]
         assert counter_total(recorder, "stream.revived", client="a") == 1.0
 
@@ -411,7 +390,7 @@ class TestEvictionAndRevival:
         router, recorder, _ = make_router(queue_capacity=16, idle_timeout_s=1.0)
         # Queued observation far in the future: activity is old but the
         # queue holds work, so the session must not be evicted.
-        assert router.offer(csi_observation("a", 5.0, np.ones(4)))
+        assert router.offer(Observation("a", 5.0, "csi", np.ones(4)))
         router.advance(3.0)
         assert not router.evicted[0]
         assert router.evicted[1]  # the genuinely idle one goes
@@ -433,7 +412,7 @@ class TestLifecycle:
 
     def test_close_finalizes_and_refuses_further_stepping(self):
         router, _, _ = make_router(queue_capacity=16)
-        router.offer(csi_observation("a", 0.0, np.ones(4)))
+        router.offer(Observation("a", 0.0, "csi", np.ones(4)))
         router.advance(1.0)
         results = router.close()
         assert set(results) == {"a", "b"}
@@ -450,7 +429,7 @@ class TestLifecycle:
 
     def test_gauges_published_on_advance(self):
         router, recorder, _ = make_router(queue_capacity=16)
-        router.offer(csi_observation("a", 5.0, np.ones(4)))
+        router.offer(Observation("a", 5.0, "csi", np.ones(4)))
         router.advance(0.6)
         assert recorder.metrics.gauge("stream.backlog").value == 1.0
         assert recorder.metrics.gauge("stream.sessions_active").value == 2.0
@@ -462,8 +441,8 @@ class TestLifecycle:
         router = StreamRouter(
             classifier, config=StreamConfig(dt_s=0.5, horizon_steps=10, queue_capacity=1)
         )
-        assert router.offer(tof_observation("a", 0.1, 1.0))
-        assert not router.offer(tof_observation("a", 0.2, 2.0))
+        assert router.offer(Observation("a", 0.1, "tof", 1.0))
+        assert not router.offer(Observation("a", 0.2, "tof", 2.0))
 
 
 class TestReplaySource:

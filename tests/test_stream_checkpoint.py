@@ -31,6 +31,7 @@ from repro.stream import (
     CHECKPOINT_VERSION,
     CorruptCheckpoint,
     FleetSpec,
+    Observation,
     SimulatedSource,
     StreamConfig,
     StreamRouter,
@@ -38,7 +39,6 @@ from repro.stream import (
     load_checkpoint,
     restore_router,
     save_checkpoint,
-    tof_observation,
 )
 from repro.stream.checkpoint import CHECKPOINT_MAGIC, FIXED_HEADER_BYTES
 from repro.telemetry.recorder import TelemetryRecorder
@@ -175,7 +175,7 @@ class TestHappyPathResume:
     def test_queued_backlog_survives_the_restart(self, tmp_path):
         router = make_router()
         for t in (0.6, 0.7, 0.8):
-            assert router.offer(tof_observation("client-0", t, 200.0 + t))
+            assert router.offer(Observation("client-0", t, "tof", 200.0 + t))
         assert router.backlog == 3
         path = tmp_path / "svc.ckpt"
         save_checkpoint(router, path)
@@ -629,9 +629,9 @@ class TestEvictionStateRoundTrip:
         )
         router = StreamRouter(classifier, config=config)
         # Shed "a" by overflow; let "b"/"c" go idle and get evicted.
-        router.offer(tof_observation("a", 0.1, 1.0))
-        router.offer(tof_observation("a", 0.15, 1.0))
-        router.offer(tof_observation("a", 0.2, 1.0))
+        router.offer(Observation("a", 0.1, "tof", 1.0))
+        router.offer(Observation("a", 0.15, "tof", 1.0))
+        router.offer(Observation("a", 0.2, "tof", 1.0))
         router.advance(3.0)
         assert router.shed[0] and router.evicted[1] and router.evicted[2]
 
@@ -642,6 +642,6 @@ class TestEvictionStateRoundTrip:
         assert list(restored.evicted) == list(router.evicted)
         assert restored.n_active_sessions == router.n_active_sessions
         # Shed stays shed; evicted revives on a fresh offer.
-        assert not restored.offer(tof_observation("a", 3.2, 1.0))
-        assert restored.offer(tof_observation("b", 3.2, 1.0))
+        assert not restored.offer(Observation("a", 3.2, "tof", 1.0))
+        assert restored.offer(Observation("b", 3.2, "tof", 1.0))
         assert not restored.evicted[1]

@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 from repro.core.batched import BatchedMobilityClassifier
 from repro.stream import (
     BACKPRESSURE_POLICIES,
+    Observation,
     StreamConfig,
     StreamRouter,
     checkpoint_state,
-    csi_observation,
     restore_router,
-    tof_observation,
 )
 from repro.telemetry.metrics import CounterMetric
 from repro.telemetry.recorder import TelemetryRecorder
@@ -83,9 +82,9 @@ def test_backlog_and_offer_accounting_hold_after_every_operation(policy, ops):
             _, kind, client, offset_s = op
             time_s = router.clock_s + offset_s
             if kind == "tof":
-                observation = tof_observation(client, time_s, 200.0)
+                observation = Observation(client, time_s, "tof", 200.0)
             else:
-                observation = csi_observation(client, time_s, np.ones(4))
+                observation = Observation(client, time_s, "csi", np.ones(4))
             offered += 1
             accepted += router.offer(observation)
         elif op[0] == "advance":

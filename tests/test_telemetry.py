@@ -179,7 +179,7 @@ class TestRecorders:
         rec = TelemetryRecorder()
         rec.event("adaptation", 1.0, client="c", action="scan")
         rec.phase_time("transmit", 0, 0.0, 2e-3)
-        rec.channel_eval("evaluate_many", 3, 50, 1e-3, batched=True)
+        rec.channel_eval("evaluate_many", 3, 50, 1e-3)
         kinds = rec.tracer.kinds()
         assert kinds == {"adaptation": 1, "phase": 1, "channel_batch": 1}
         assert rec.metrics.counter("events.adaptation").value == 1.0
@@ -437,25 +437,25 @@ class TestServiceHookCount:
         return [name for name in recorder.calls[since:] if name.startswith("stream.")]
 
     def test_offer_and_noop_advance_cost_nothing_per_fleet_member(self):
-        from repro.stream import csi_observation
+        from repro.stream import Observation
 
         router, recorder, labels = self.router(256)
         before = len(recorder.calls)
-        assert router.offer(csi_observation(labels[0], 1.0, np.ones(4)))
+        assert router.offer(Observation(labels[0], 1.0, "csi", np.ones(4)))
         assert len(recorder.calls) - before <= 2
         before = len(recorder.calls)
         assert router.advance(-0.1) == 0  # the first step (t=0) is not due
         assert recorder.calls[before:] == []
 
     def test_stepping_advance_makes_the_same_stream_calls_at_any_fleet_size(self):
-        from repro.stream import csi_observation, tof_observation
+        from repro.stream import Observation
 
         per_size = {}
         for n in (16, 256):
             router, recorder, labels = self.router(n)
             for label in labels:  # every member has its CSI: no csi_missing
-                router.offer(csi_observation(label, 0.0, np.ones(4)))
-                router.offer(tof_observation(label, 0.0, 200.0))
+                router.offer(Observation(label, 0.0, "csi", np.ones(4)))
+                router.offer(Observation(label, 0.0, "tof", 200.0))
             before = len(recorder.calls)
             assert router.advance(0.0) == 1
             per_size[n] = self.stream_calls(recorder, before)

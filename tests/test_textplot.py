@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.util.stats import EmpiricalCDF
-from repro.util.textplot import render_bars, render_cdf, render_series
+from repro.util.textplot import render_bars, render_cdf
 
 
 class TestRenderCdf:
@@ -60,17 +60,3 @@ class TestRenderBars:
     def test_zero_value(self):
         chart = render_bars({"zero": 0.0, "one": 1.0})
         assert "zero" in chart
-
-
-class TestRenderSeries:
-    def test_two_series(self):
-        x = [0.0, 1.0, 2.0, 3.0]
-        chart = render_series(
-            {"up": [0, 1, 2, 3], "down": [3, 2, 1, 0]}, x, title="trend"
-        )
-        assert "trend" in chart
-        assert "o up" in chart and "x down" in chart
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            render_series({"bad": [1, 2]}, [0.0, 1.0, 2.0])

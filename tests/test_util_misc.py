@@ -5,24 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.util.geometry import (
-    Point,
-    clamp_to_rect,
-    distance,
-    heading_between,
-    project_along,
-    radial_speed,
-)
+from repro.util.geometry import Point, distance, heading_between
 from repro.util.rng import ensure_rng, spawn_rngs, stable_seed
 from repro.util.special import bessel_j0, jakes_correlation
-from repro.util.stats import EmpiricalCDF, fraction, percentile_summary
-from repro.util.units import (
-    db_to_linear,
-    dbm_to_milliwatts,
-    linear_to_db,
-    noise_floor_dbm,
-    wavelength,
-)
+from repro.util.stats import EmpiricalCDF
+from repro.util.units import noise_floor_dbm, wavelength
 
 
 class TestRng:
@@ -56,16 +43,6 @@ class TestRng:
 
 
 class TestUnits:
-    def test_db_roundtrip(self):
-        assert linear_to_db(db_to_linear(13.0)) == pytest.approx(13.0)
-
-    def test_dbm_conversion(self):
-        assert dbm_to_milliwatts(0.0) == pytest.approx(1.0)
-        assert dbm_to_milliwatts(30.0) == pytest.approx(1000.0)
-
-    def test_zero_maps_to_negative_infinity(self):
-        assert linear_to_db(0.0) == -math.inf
-
     def test_noise_floor_scales_with_bandwidth(self):
         narrow = noise_floor_dbm(20e6)
         wide = noise_floor_dbm(40e6)
@@ -89,26 +66,6 @@ class TestGeometry:
 
     def test_heading(self):
         assert heading_between(Point(0, 0), Point(0, 1)) == pytest.approx(math.pi / 2)
-
-    def test_project_along_roundtrip(self):
-        start = Point(1.0, 2.0)
-        end = project_along(start, 0.7, 5.0)
-        assert distance(start, end) == pytest.approx(5.0)
-        assert heading_between(start, end) == pytest.approx(0.7)
-
-    def test_radial_speed_sign(self):
-        anchor = Point(0, 0)
-        away = radial_speed(Point(10, 0), (1.0, 0.0), anchor)
-        towards = radial_speed(Point(10, 0), (-1.0, 0.0), anchor)
-        assert away == pytest.approx(1.0)
-        assert towards == pytest.approx(-1.0)
-
-    def test_radial_speed_tangential_is_zero(self):
-        assert radial_speed(Point(10, 0), (0.0, 1.0), Point(0, 0)) == pytest.approx(0.0)
-
-    def test_clamp(self):
-        clamped = clamp_to_rect(Point(-5, 50), 0, 0, 10, 10)
-        assert clamped == Point(0, 10)
 
     def test_point_arithmetic(self):
         assert (Point(1, 2) + Point(3, 4)) == Point(4, 6)
@@ -139,18 +96,6 @@ class TestStats:
     def test_empty_cdf_raises(self):
         with pytest.raises(ValueError):
             EmpiricalCDF([]).median()
-
-    def test_fraction_validation(self):
-        assert fraction(3, 4) == 0.75
-        with pytest.raises(ValueError):
-            fraction(5, 4)
-        with pytest.raises(ValueError):
-            fraction(0, 0)
-
-    def test_percentile_summary_keys(self):
-        summary = percentile_summary([1.0, 2.0, 3.0])
-        assert summary["median"] == 2.0
-        assert summary["p10"] <= summary["p90"]
 
 
 class TestBessel:

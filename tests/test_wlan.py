@@ -8,10 +8,10 @@ from repro.mobility.scenarios import macro_scenario
 from repro.mobility.trajectory import StaticTrajectory
 from repro.sim import SimulationEngine, TimeGrid
 from repro.util.geometry import Point
-from repro.wlan.floorplan import Floorplan, default_office_floorplan, single_ap_floorplan
+from repro.wlan.floorplan import Floorplan, default_office_floorplan
 from repro.wlan.multilink import MultiApChannel
 from repro.wlan.stack import StackSession, default_stack, mobility_aware_stack
-from repro.wlan.traffic import TcpModel, udp_throughput_mbps
+from repro.wlan.traffic import TcpModel
 
 
 class TestFloorplan:
@@ -35,10 +35,6 @@ class TestFloorplan:
             x_min, y_min, x_max, y_max = floorplan.bounds
             assert x_min <= point.x <= x_max
             assert y_min <= point.y <= y_max
-
-    def test_single_ap(self):
-        floorplan = single_ap_floorplan(Point(1.0, 2.0))
-        assert floorplan.n_aps == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -82,9 +78,6 @@ class TestMultiAp:
 
 
 class TestTraffic:
-    def test_udp_mean(self):
-        assert udp_throughput_mbps(np.array([10.0, 20.0, 30.0])) == 20.0
-
     def test_tcp_protocol_efficiency(self):
         tcp = TcpModel(protocol_efficiency=0.9, recovery_s=1e-9)
         times = np.arange(0.0, 10.0, 0.1)
