@@ -36,7 +36,7 @@ class MobilityEstimate:
     tof_window_full: bool = False
 
     def __post_init__(self) -> None:
-        if self.heading != Heading.NONE and self.mode != MobilityMode.MACRO:
+        if self.heading is not Heading.NONE and self.mode is not MobilityMode.MACRO:
             raise ValueError("heading is only meaningful for macro mobility")
 
     @property
@@ -55,8 +55,9 @@ class MobilityEstimate:
         """Plain-value form for exports and comparisons."""
         return {
             "time_s": self.time_s,
-            "mode": self.mode.value,
-            "heading": self.heading.value,
+            # ``_value_`` is what ``.value`` returns, without the descriptor.
+            "mode": self.mode._value_,
+            "heading": self.heading._value_,
             "csi_similarity": self.csi_similarity,
             "tof_window_full": self.tof_window_full,
         }

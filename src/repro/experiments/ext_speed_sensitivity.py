@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-import numpy as np
-
 from repro.experiments.common import bounded_walk_scenario, classification_decisions
 from repro.mobility.modes import MobilityMode
 from repro.util.geometry import Point

@@ -10,8 +10,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.core.classifier import ClassifierConfig
 from repro.core.tof_trend import ToFTrendConfig

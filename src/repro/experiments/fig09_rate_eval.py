@@ -30,7 +30,7 @@ from repro.rate.rapidsample import HintAwareRateControl
 from repro.rate.simulator import simulate_rate_control
 from repro.rate.softrate import SoftRate
 from repro.util.geometry import Point
-from repro.util.rng import SeedLike, ensure_rng, spawn_rngs
+from repro.util.rng import SeedLike, ensure_rng
 from repro.util.stats import EmpiricalCDF, format_cdf_rows
 
 

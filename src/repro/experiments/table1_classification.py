@@ -11,7 +11,7 @@ classifier's inherent trend-window delay).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.core.classifier import ClassifierConfig
 from repro.experiments.common import (

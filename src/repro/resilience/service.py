@@ -54,6 +54,25 @@ if TYPE_CHECKING:
     from repro.faults.chaos import ServiceKillFault
 
 
+class _EstimateSink:
+    """The router's estimate sink: accumulate per client, then forward.
+
+    It holds no reference back to the service, so service, router and
+    sink form no reference cycle and a dropped service is freed at once.
+    """
+
+    __slots__ = ("estimates", "forward")
+
+    def __init__(self, forward: Optional[Callable[[str, float, Any], None]]) -> None:
+        self.estimates: Dict[str, List[Any]] = {}
+        self.forward = forward
+
+    def __call__(self, label: str, time_s: float, estimate: Any) -> None:
+        self.estimates.setdefault(label, []).append(estimate)
+        if self.forward is not None:
+            self.forward(label, time_s, estimate)
+
+
 class ResilientService:
     """A supervising runtime that keeps one streaming cohort alive.
 
@@ -86,10 +105,10 @@ class ResilientService:
     ) -> None:
         self.resilience = resilience
         self.recorder = shield(recorder)
-        self._on_estimate = on_estimate
         self.kill = kill
+        self._sink = _EstimateSink(on_estimate)
         #: Estimates delivered since this process started, per client.
-        self.estimates: Dict[str, List[Any]] = {}
+        self.estimates: Dict[str, List[Any]] = self._sink.estimates
         #: Grid segments completed by automatic rollover.
         self.rollovers = 0
         #: Engine steps run across all segments (the service-global step
@@ -98,7 +117,7 @@ class ResilientService:
         self._source_cursors: Dict[str, int] = {}
         if _router_state is not None:
             self.router = restore_router(
-                _router_state, recorder=self.recorder, on_estimate=self._collect
+                _router_state, recorder=self.recorder, on_estimate=self._sink
             )
         else:
             if classifier is None:
@@ -110,7 +129,7 @@ class ResilientService:
                 classifier,
                 config=config,
                 recorder=self.recorder,
-                on_estimate=self._collect,
+                on_estimate=self._sink,
                 supervisor=supervisor,
             )
         self.checkpoints = CheckpointManager(
@@ -203,9 +222,10 @@ class ResilientService:
         skipped: an exhausted segment always takes the full path.
         """
         router = self.router
-        stepper = router.stepper
-        if not stepper.done:
-            next_s = router.engine.grid.times[stepper.next_index]
+        times = router.step_times
+        next_index = router.stepper.next_index
+        if next_index < len(times):
+            next_s = times[next_index]
             if (
                 next_s > until_s
                 and not self.checkpoints.due(next_s)
@@ -290,12 +310,6 @@ class ResilientService:
 
     # ------------------------------------------------------------ internals
 
-    def _collect(self, label: str, time_s: float, estimate: Any) -> None:
-        """The router's estimate sink: accumulate, then forward."""
-        self.estimates.setdefault(label, []).append(estimate)
-        if self._on_estimate is not None:
-            self._on_estimate(label, time_s, estimate)
-
     def _service_extra(self) -> Dict[str, Any]:
         """Supervisor bookkeeping that rides along in every artifact."""
         return {
@@ -345,7 +359,7 @@ class ResilientService:
         router_state["late_floor_s"] = old_end_s
         state["router"] = router_state
         self.router = restore_router(
-            state, recorder=self.recorder, on_estimate=self._collect
+            state, recorder=self.recorder, on_estimate=self._sink
         )
         self.router.session.clear_history()
         self.rollovers += 1
@@ -366,4 +380,4 @@ class ResilientService:
         for label in spec.clients:
             if live:
                 self.recorder.count("resilience.degraded_hints", client=label)
-            self._collect(label, time_s, safe_default_hint(time_s))
+            self._sink(label, time_s, safe_default_hint(time_s))

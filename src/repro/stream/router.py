@@ -191,23 +191,36 @@ class StreamingSensingSession(BatchedSensingSession):
         errors = self._due_failures("sense", clock)
         mask = self._participating()
         chunks: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(self._labels)
-        for i in np.flatnonzero(mask):
-            chunks[i] = self._queues[i].pop_tof_due(clock.start_s)
+        # Only lanes holding ToF can have any due.
+        for i, queue in enumerate(self._queues):
+            if queue.tof and mask[i]:
+                chunks[i] = queue.pop_tof_due(clock.start_s)
         self.classifier.push_tof(chunks, mask=mask)
         self._raise_failures(errors)
 
     def classify(self, clock: StepClock) -> None:
         errors = self._due_failures("classify", clock)
         mask = self._participating()
+        now_s = clock.start_s
+        recorder = self.recorder
+        live = recorder.enabled
+        queues = self._queues
         samples: List[Optional[Any]] = [None] * len(self._labels)
-        for i in np.flatnonzero(mask):
-            samples[i] = self._queues[i].pop_csi_due(clock.start_s)
-            if samples[i] is None and self.recorder.enabled and not self.stream_inactive[i]:
-                self.recorder.count("sensing.csi_missing", client=self._labels[i])
-        if any(sample is not None for sample in samples):
+        n_due = 0
+        for i in np.flatnonzero(mask).tolist():
+            queue = queues[i]
+            csi = queue.csi
+            if csi and csi[0][0] <= now_s:
+                samples[i] = queue.pop_csi_due(now_s)
+                n_due += 1
+            elif live and not self.stream_inactive[i]:
+                recorder.count("sensing.csi_missing", client=self._labels[i])
+        if n_due:
             start = self._history.size
-            results = self.classifier.push_csi(clock.start_s, samples, mask=mask)
-            self._deliver(clock.start_s, results, start)
+            # Only participating members hold a sample, so the mask is
+            # already applied.
+            results = self.classifier.push_csi(now_s, samples)
+            self._deliver(now_s, results, start)
         self._raise_failures(errors)
 
     # ----------------------------------------------------- eviction support
@@ -272,6 +285,10 @@ class StreamRouter:
         grid = TimeGrid.regular(
             self.config.start_s, self.config.dt_s, self.config.horizon_steps
         )
+        #: The segment's step instants, ``grid.times`` as Python floats:
+        #: every per-offer late check and per-call clock check reads
+        #: this list rather than a numpy element.
+        self.step_times: List[float] = grid.times.tolist()
         self.session = StreamingSensingSession(
             classifier, self.queues, on_estimate=on_estimate, member_faults=member_faults
         )
@@ -301,10 +318,12 @@ class StreamRouter:
     @property
     def clock_s(self) -> float:
         """The service clock: start of the next not-yet-run engine step."""
-        grid = self.engine.grid
-        if self.stepper.done:
+        times = self.step_times
+        next_index = self.stepper.next_index
+        if next_index >= len(times):
+            grid = self.engine.grid
             return grid.end_s + grid.dt_s
-        return float(grid.times[self.stepper.next_index])
+        return times[next_index]
 
     # ------------------------------------------------------------- ingress
 
@@ -325,7 +344,8 @@ class StreamRouter:
         return accepted
 
     def _offer(self, observation: Observation, recorder: Recorder, live: bool) -> bool:
-        if not math.isfinite(observation.time_s):
+        time_s = observation.time_s
+        if not math.isfinite(time_s):
             # No step is ever due for a NaN or infinite timestamp: queued,
             # it would block its lane, and its session, for good.
             if live:
@@ -342,13 +362,10 @@ class StreamRouter:
                 recorder.count("stream.shed", client=label)
             return False
         next_index = self.stepper.next_index
-        if next_index > 0:
-            stepped_past_s: Optional[float] = float(
-                self.engine.grid.times[next_index - 1]
-            )
-        else:
-            stepped_past_s = self.late_floor_s
-        if stepped_past_s is not None and observation.time_s <= stepped_past_s:
+        stepped_past_s = (
+            self.step_times[next_index - 1] if next_index else self.late_floor_s
+        )
+        if stepped_past_s is not None and time_s <= stepped_past_s:
             # The step that would have consumed this observation already
             # ran (possibly in a previous grid segment, pre-rollover);
             # feeding it now would hand the classifier a stale clock.
@@ -356,7 +373,7 @@ class StreamRouter:
                 recorder.count("stream.late", client=label)
             return False
         queue = self.queues[i]
-        if queue.full:
+        if len(queue.tof) + len(queue.csi) >= queue.capacity:
             policy = self.config.backpressure
             if policy == "block":
                 if live:
@@ -367,7 +384,7 @@ class StreamRouter:
                 if live:
                     recorder.count("stream.dropped", client=label)
             else:  # shed_session
-                self._shed_session(i, observation.time_s)
+                self._shed_session(i, time_s)
                 if live:
                     recorder.count("stream.shed", client=label)
                 return False
@@ -376,14 +393,13 @@ class StreamRouter:
             self.session.unpark_member(i)
             if live:
                 recorder.count("stream.revived", client=label)
-                recorder.event("stream_revive", observation.time_s, client=label)
+                recorder.event("stream_revive", time_s, client=label)
         if observation.kind == "tof":
-            queue.push_tof(observation.time_s, float(observation.payload))
+            queue.push_tof(time_s, float(observation.payload))
         else:
-            queue.push_csi(observation.time_s, observation.payload)
-        self.last_activity[i] = max(
-            float(self.last_activity[i]), observation.time_s
-        )
+            queue.push_csi(time_s, observation.payload)
+        if time_s > self.last_activity[i]:
+            self.last_activity[i] = time_s
         if live:
             recorder.count("stream.accepted", client=label)
         return True
@@ -414,19 +430,22 @@ class StreamRouter:
         if self._closed:
             raise RuntimeError("router is closed")
         stepper = self.stepper
-        grid = self.engine.grid
-        if not stepper.done and grid.times[stepper.next_index] > until_s:
+        times = self.step_times
+        n_times = len(times)
+        next_index = stepper.next_index
+        if next_index < n_times and times[next_index] > until_s:
             return 0
         recorder = self.recorder
         live = recorder.enabled
         t0 = perf_counter() if live else 0.0
         n_steps = 0
-        while not stepper.done and grid.times[stepper.next_index] <= until_s:
-            self._evict_idle(float(grid.times[stepper.next_index]))
+        while next_index < n_times and times[next_index] <= until_s:
+            self._evict_idle(times[next_index])
             stepper.step()
             n_steps += 1
-        if stepper.done and until_s > grid.end_s:
-            raise HorizonExhausted(grid.end_s, len(grid))
+            next_index = stepper.next_index
+        if next_index >= n_times and until_s > times[-1]:
+            raise HorizonExhausted(times[-1], n_times)
         if live and n_steps:
             recorder.observe("stream.step_s", perf_counter() - t0)
             recorder.gauge("stream.backlog", float(self.backlog))

@@ -140,25 +140,39 @@ class SimulatedSource:
         return csi_by_client, list(tof_times), list(tof_readings)
 
     def __iter__(self) -> Iterator[Observation]:
-        """Observations in non-decreasing time order, interleaved.
+        """Observations in delivery order: non-decreasing time, interleaved.
 
         Within one instant, ToF readings precede CSI snapshots (matching
         the engine's sense-before-classify phase order) and clients come
-        in index order.
+        in index order.  The order is one ``np.lexsort`` over the events'
+        time, kind and client columns; each :class:`Observation` is built
+        as it is yielded, so the objects (and the CSI payload views) are
+        made in arrival order, as a live capture would make them.
         """
         slab, tof_times, tof_readings = self._materialize()
         spec = self.spec
-        events: List[Tuple[float, int, int, Observation]] = []
-        for i, label in enumerate(self.labels):
-            for t, v in zip(tof_times[i], tof_readings[i]):
-                events.append(
-                    (float(t), 0, i, Observation(label, float(t), "tof", float(v)))
-                )
-            for s in range(spec.n_steps):
-                t = s * spec.csi_period_s
-                events.append(
-                    (float(t), 1, i, Observation(label, float(t), "csi", slab[s, i]))
-                )
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-        for _, _, _, observation in events:
-            yield observation
+        n, n_steps = spec.n_clients, spec.n_steps
+        tof_counts = [len(times) for times in tof_times]
+        n_tof = sum(tof_counts)
+        # Event columns: ToF readings client by client, then CSI snapshots
+        # step by step.  ``row`` indexes the reading (ToF) or the step (CSI).
+        steps = np.arange(n_steps)
+        time_s = np.concatenate(tof_times + [np.repeat(steps * spec.csi_period_s, n)])
+        kind = np.repeat(np.array([0, 1], dtype=np.int8), [n_tof, n_steps * n])
+        client = np.concatenate(
+            [np.repeat(np.arange(n), tof_counts), np.tile(np.arange(n), n_steps)]
+        )
+        row = np.concatenate([np.arange(n_tof), np.repeat(steps, n)])
+        order = np.lexsort((client, kind, time_s))
+        readings = np.concatenate(tof_readings).tolist()
+        labels = self.labels
+        for t, k, i, j in zip(
+            time_s[order].tolist(),
+            kind[order].tolist(),
+            client[order].tolist(),
+            row[order].tolist(),
+        ):
+            if k:
+                yield Observation(labels[i], t, "csi", slab[j, i])
+            else:
+                yield Observation(labels[i], t, "tof", readings[j])

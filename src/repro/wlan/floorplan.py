@@ -6,8 +6,8 @@ office floor with a walking trajectory weaving between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.util.geometry import Point, distance
 from repro.util.rng import SeedLike, ensure_rng

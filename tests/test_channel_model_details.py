@@ -1,7 +1,6 @@
 """Deeper channel-model behaviour tests (mechanism-level)."""
 
 import numpy as np
-import pytest
 
 from repro.channel.config import CONFIG_20MHZ, ChannelConfig
 from repro.channel.model import LinkChannel

@@ -1,7 +1,6 @@
 """Integration tests: full sensing -> classification -> protocol pipelines."""
 
 import numpy as np
-import pytest
 
 from repro.experiments.common import (
     classification_decisions,

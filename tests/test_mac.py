@@ -1,6 +1,5 @@
 """Unit tests for A-MPDU aggregation and airtime accounting."""
 
-import numpy as np
 import pytest
 
 from repro.mac.aggregation import MAX_MPDUS, FrameTransmitter

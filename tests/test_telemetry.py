@@ -22,7 +22,7 @@ from repro.mobility.modes import Heading, MobilityMode
 from repro.mobility.trajectory import WaypointWalkTrajectory
 from repro.rate.atheros import AtherosRateAdaptation
 from repro.rate.simulator import RateControlSession
-from repro.sim import BatchedSensingSession, Session, SimulationEngine, TimeGrid
+from repro.sim import BatchedSensingSession, SimulationEngine, TimeGrid
 from repro.telemetry import (
     DEFAULT_HISTOGRAM_EDGES,
     NULL_RECORDER,
